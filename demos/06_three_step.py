@@ -17,7 +17,6 @@ from momentineq import (
     ParametricMomentData,
     ThreeStepConfig,
     run_test,
-    three_step_sets,
     three_step_test,
 )
 
@@ -36,12 +35,12 @@ v[:, 10:, :] -= 5.0    # flat/wrong-signed gradients: drop
 data = ParametricMomentData(g=g, v=v)
 cfg = ThreeStepConfig(alpha=0.05, beta=0.001, scheme="MB", replications=2000, seed=9)
 
-j_hat, j_prime, j_dprime = three_step_sets(data, cfg)
+decision = three_step_test(data, cfg)
+j_hat, j_prime, j_dprime = decision.sets
 print(f"slack-screened set J      : {sorted(j_hat)}")
 print(f"kept (statistic) set J'   : {sorted(j_prime)}")
 print(f"generous (cutoff) set J'' : {sorted(j_dprime)}")
 
-decision = three_step_test(data, cfg)
 print(
     f"\nstatistic over J' = {decision.statistic:.4f}, "
     f"cutoff over J & J'' = {decision.critical_value:.4f}, "

@@ -31,7 +31,7 @@ from .errors import (
     UndefinedCriticalValueError,
 )
 from .gaussian import SeededStream, normal_cdf, normal_quantile, standard_normal_draws
-from .sn import SnConfig, sn_one_step, sn_select, sn_two_step
+from .sn import sn_one_step, sn_select
 from .bootstrap import (
     BootstrapConfig,
     BootstrapDraws,
@@ -102,10 +102,8 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "standard_normal_draws",
-    "SnConfig",
     "sn_one_step",
     "sn_select",
-    "sn_two_step",
     "BootstrapConfig",
     "BootstrapDraws",
     "eb_draws",

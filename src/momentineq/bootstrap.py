@@ -1,4 +1,4 @@
-"""Multiplier and empirical bootstrap critical values for the max statistic.
+"""Multiplier and empirical bootstrap critical values, and the one pipeline behind all methods.
 
 Both schemes simulate the conditional law of the max of studentized centered
 column averages: the multiplier bootstrap (MB) reweights the centered rows
@@ -6,6 +6,16 @@ with i.i.d. standard normal multipliers, the empirical bootstrap (EB)
 resamples rows with replacement.  Critical values are left-continuous
 empirical quantiles (the ``ceil(level * B)``-th order statistic) of ``B``
 such draws.
+
+Every critical value is three choices, and :data:`~momentineq.core.METHODS`
+maps each of the eight method names to them: the selection rule (all
+columns, the SN threshold ``-2 c_SN(beta)`` or the bootstrap threshold
+``-2 c_B(beta)``), the scheme computing the cutoff (the SN formula, MB or
+EB), and the multiplier ``m`` in the level ``1 - alpha + m beta`` (the SN
+formula uses the tail ``(alpha - m beta) / k`` over ``k`` selected columns).
+:func:`_critical` runs that pipeline for :func:`run_test`, the
+:class:`BootstrapConfig` entry points, the approximate-data test and, with
+``m = 4``, the three-step test.
 
 Stream discipline: within one test, selection draws and critical-value draws
 come from disjoint substreams (``select`` vs ``crit`` children of the config
@@ -25,19 +35,20 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import (
+    METHODS,
     CriticalValueSpec,
-    DegenerateStatistic,
     MomentSummary,
+    Rule,
     TestDecision,
     as_sample_matrix,
-    exceeds,
+    check_sizes,
+    decide,
     regularity_diagnostics,
     summarize,
-    test_statistic,
 )
 from .errors import DegenerateColumnError
 from .gaussian import SeededStream, open_uniform
-from .sn import sn_one_step, sn_select, threshold_select, _sn_from_tail
+from .sn import _sn_from_tail, sn_select, threshold_select
 
 __all__ = [
     "BootstrapConfig",
@@ -81,12 +92,7 @@ class BootstrapConfig:
         object.__setattr__(self, "scheme", str(self.scheme).upper())
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be MB or EB, got {self.scheme!r}")
-        if self.replications < 100:
-            raise ValueError(
-                "need at least 100 bootstrap replications for a usable quantile"
-            )
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must lie in (0, 0.5), got {self.alpha}")
+        check_sizes(self.alpha, self.beta, replications=self.replications)
 
 
 @dataclass(frozen=True)
@@ -178,6 +184,13 @@ def _values(scheme, x, mu, sigma, cols0, B, stream) -> np.ndarray:
     return _eb_values(x, mu, sigma, cols0, B, stream)
 
 
+def _draws(scheme, sample, summary: MomentSummary, J, B: int, stream: SeededStream) -> BootstrapDraws:
+    x = as_sample_matrix(sample)
+    cols0 = _columns_mask(J, summary.p)
+    values = _values(scheme, x, summary.means, summary.sds, cols0, int(B), stream)
+    return BootstrapDraws(values=values, restricted_to=frozenset(int(c) + 1 for c in cols0))
+
+
 def mb_draws(sample, summary: MomentSummary, J, B: int, stream: SeededStream) -> BootstrapDraws:
     """Multiplier bootstrap draws of the max statistic restricted to ``J``.
 
@@ -187,10 +200,7 @@ def mb_draws(sample, summary: MomentSummary, J, B: int, stream: SeededStream) ->
     :class:`~momentineq.errors.DegenerateColumnError` if ``J`` contains a
     zero-variance column.
     """
-    x = as_sample_matrix(sample)
-    cols0 = _columns_mask(J, summary.p)
-    values = _mb_values(x, summary.means, summary.sds, cols0, int(B), stream)
-    return BootstrapDraws(values=values, restricted_to=frozenset(int(c) + 1 for c in cols0))
+    return _draws("MB", sample, summary, J, B, stream)
 
 
 def eb_draws(sample, summary: MomentSummary, J, B: int, stream: SeededStream) -> BootstrapDraws:
@@ -199,10 +209,7 @@ def eb_draws(sample, summary: MomentSummary, J, B: int, stream: SeededStream) ->
     Replication ``b`` draws ``n`` row indices with replacement and records
     ``max_{j in J} sqrt(n) * (resampled mean_j - mean_j) / sd_j``.
     """
-    x = as_sample_matrix(sample)
-    cols0 = _columns_mask(J, summary.p)
-    values = _eb_values(x, summary.means, summary.sds, cols0, int(B), stream)
-    return BootstrapDraws(values=values, restricted_to=frozenset(int(c) + 1 for c in cols0))
+    return _draws("EB", sample, summary, J, B, stream)
 
 
 def _order_statistic_index(level: float, B: int) -> int:
@@ -233,44 +240,63 @@ def empirical_quantile(draws: BootstrapDraws, level: float) -> float:
     return _quantile(np.asarray(draws.values, dtype=np.float64), level)
 
 
-def _require_clean(summary: MomentSummary, what: str):
-    if summary.any_degenerate():
-        raise DegenerateColumnError(summary.degenerate_columns(), context=what)
+def _select(rule: Rule, x, s: MomentSummary, beta, B, stream) -> frozenset[int]:
+    """The 1-based columns the rule keeps: all, the SN rule's, or the bootstrap rule's."""
+    if rule.selection is None:
+        return frozenset(range(1, s.p + 1))
+    if rule.selection == "sn":
+        return sn_select(s, beta)
+    vals = _values(rule.scheme, x, s.means, s.sds, np.arange(s.p), B, stream.child("select"))
+    return threshold_select(s, -2.0 * _quantile(vals, 1.0 - beta))
+
+
+def _cutoff(rule: Rule, x, s: MomentSummary, selected, alpha, beta, B, stream) -> float:
+    """The rule's cutoff over ``selected`` at size ``alpha - m beta``; 0 over no columns."""
+    if rule.scheme == "SN":
+        k = len(selected)
+        return _sn_from_tail((alpha - rule.m * beta) / k, s.n) if k else 0.0
+    cols0 = np.asarray(sorted(selected), dtype=np.intp) - 1
+    vals = _values(rule.scheme, x, s.means, s.sds, cols0, B, stream.child("crit"))
+    return _quantile(vals, 1.0 - alpha + rule.m * beta)
+
+
+def _critical(rule: Rule, x, s: MomentSummary, alpha, beta, B, stream):
+    """The pipeline behind every method: ``(critical value, selected columns)``.
+
+    ``stream`` may be ``None`` for the analytic scheme, which draws nothing.
+    """
+    selected = _select(rule, x, s, beta, B, stream)
+    return _cutoff(rule, x, s, selected, alpha, beta, B, stream), selected
+
+
+def _configured(sample, cfg: BootstrapConfig, method: str, beta: float):
+    """Rule, data and summary for a table method run under ``cfg``.
+
+    ``beta`` is checked against the method's cap here, at call time, because
+    one config serves methods with different caps.
+    """
+    rule = METHODS[method]
+    if rule.cap:
+        check_sizes(cfg.alpha, beta, cap=rule.cap)
+    x = as_sample_matrix(sample)
+    return rule, x, summarize(x)
 
 
 def one_step_critical(sample, cfg: BootstrapConfig) -> float:
     """One-step bootstrap critical value: the ``1 - alpha`` quantile over all columns."""
-    x = as_sample_matrix(sample)
-    s = summarize(x)
-    return _one_step(x, s, cfg)
-
-
-def _one_step(x, s, cfg: BootstrapConfig) -> float:
-    cols0 = np.arange(s.p)
-    vals = _values(cfg.scheme, x, s.means, s.sds, cols0, cfg.replications, cfg.stream.child("crit"))
-    return _quantile(vals, 1.0 - cfg.alpha)
+    rule, x, s = _configured(sample, cfg, cfg.scheme.lower() + "1", cfg.beta)
+    return _critical(rule, x, s, cfg.alpha, cfg.beta, cfg.replications, cfg.stream)[0]
 
 
 def select_set(sample, cfg: BootstrapConfig) -> frozenset[int]:
     """Bootstrap inequality selection: columns with score above ``-2 c_boot(beta)``.
 
     The threshold quantile is computed at size ``cfg.beta`` on a dedicated
-    ``select`` substream, disjoint from the critical-value draws.
+    ``select`` substream, disjoint from the critical-value draws.  Requires
+    ``beta < alpha / 2``.
     """
-    x = as_sample_matrix(sample)
-    s = summarize(x)
-    return _select(x, s, cfg)
-
-
-def _select(x, s, cfg: BootstrapConfig) -> frozenset[int]:
-    if not 0.0 < cfg.beta < cfg.alpha / 2:
-        raise ValueError(
-            f"two-step selection requires 0 < beta < alpha/2, got beta={cfg.beta}"
-        )
-    cols0 = np.arange(s.p)
-    vals = _values(cfg.scheme, x, s.means, s.sds, cols0, cfg.replications, cfg.stream.child("select"))
-    c_beta = _quantile(vals, 1.0 - cfg.beta)
-    return threshold_select(s, -2.0 * c_beta)
+    rule, x, s = _configured(sample, cfg, cfg.scheme.lower() + "2", cfg.beta)
+    return _select(rule, x, s, cfg.beta, cfg.replications, cfg.stream)
 
 
 def two_step_critical(sample, cfg: BootstrapConfig) -> float:
@@ -280,22 +306,8 @@ def two_step_critical(sample, cfg: BootstrapConfig) -> float:
     ``1 - alpha + 2 beta`` quantile of draws restricted to the selected set
     (0 when the selection is empty).
     """
-    x = as_sample_matrix(sample)
-    s = summarize(x)
-    cv, _ = _two_step(x, s, cfg)
-    return cv
-
-
-def _restricted_quantile(x, s, cfg: BootstrapConfig, selected: frozenset[int], level: float) -> float:
-    cols0 = np.asarray(sorted(selected), dtype=np.intp) - 1
-    vals = _values(cfg.scheme, x, s.means, s.sds, cols0, cfg.replications, cfg.stream.child("crit"))
-    return _quantile(vals, level)
-
-
-def _two_step(x, s, cfg: BootstrapConfig) -> tuple[float, frozenset[int]]:
-    selected = _select(x, s, cfg)
-    level = 1.0 - cfg.alpha + 2.0 * cfg.beta
-    return _restricted_quantile(x, s, cfg, selected, level), selected
+    rule, x, s = _configured(sample, cfg, cfg.scheme.lower() + "2", cfg.beta)
+    return _critical(rule, x, s, cfg.alpha, cfg.beta, cfg.replications, cfg.stream)[0]
 
 
 def hybrid_critical(sample, cfg: BootstrapConfig, beta: float) -> float:
@@ -305,20 +317,8 @@ def hybrid_critical(sample, cfg: BootstrapConfig, beta: float) -> float:
     then the ``1 - alpha + 2 beta`` bootstrap quantile over that set.
     Requires ``beta <= alpha / 3``.
     """
-    x = as_sample_matrix(sample)
-    s = summarize(x)
-    cv, _ = _hybrid(x, s, cfg, beta)
-    return cv
-
-
-def _hybrid(x, s, cfg: BootstrapConfig, beta: float) -> tuple[float, frozenset[int]]:
-    if not 0.0 < beta <= cfg.alpha / 3:
-        raise ValueError(
-            f"hybrid selection requires 0 < beta <= alpha/3, got beta={beta}"
-        )
-    selected = sn_select(s, beta)
-    level = 1.0 - cfg.alpha + 2.0 * beta
-    return _restricted_quantile(x, s, cfg, selected, level), selected
+    rule, x, s = _configured(sample, cfg, "hyb-" + cfg.scheme.lower(), beta)
+    return _critical(rule, x, s, cfg.alpha, beta, cfg.replications, cfg.stream)[0]
 
 
 def run_test(sample, spec: CriticalValueSpec, *, stream: SeededStream | None = None,
@@ -329,7 +329,7 @@ def run_test(sample, spec: CriticalValueSpec, *, stream: SeededStream | None = N
     critical value and the reported ``selected`` set depend on the method.
     The rejection decision goes through the coordinate-wise rule, so it is
     well-defined even when some column has zero variance (analytic methods
-    only; bootstrap methods raise on degenerate columns).
+    only; bootstrap draws over a zero-variance column raise).
 
     ``stream`` overrides the default ``SeededStream(spec.seed)``, which lets
     a simulation harness nest the bootstrap randomness under its own
@@ -337,41 +337,11 @@ def run_test(sample, spec: CriticalValueSpec, *, stream: SeededStream | None = N
     """
     x = as_sample_matrix(sample)
     s = summarize(x)
-    stat = test_statistic(s)
-    value = stat.bound if isinstance(stat, DegenerateStatistic) else stat
-    full = frozenset(range(1, s.p + 1))
-    alpha, beta = spec.alpha, spec.beta
-
-    if spec.method == "sn1":
-        cv, selected = sn_one_step(alpha, s.p, s.n), full
-    elif spec.method == "sn2":
-        selected = sn_select(s, beta)
-        k = len(selected)
-        cv = _sn_from_tail((alpha - 2.0 * beta) / k, s.n) if k else 0.0
-    else:
-        _require_clean(s, f"{spec.method} critical value undefined")
-        cfg = BootstrapConfig(
-            scheme=spec.scheme,
-            replications=spec.replications,
-            stream=stream if stream is not None else SeededStream(spec.seed),
-            alpha=alpha,
-            beta=beta,
-        )
-        if spec.method in ("mb1", "eb1"):
-            cv, selected = _one_step(x, s, cfg), full
-        elif spec.method in ("mb2", "eb2"):
-            cv, selected = _two_step(x, s, cfg)
-        else:
-            cv, selected = _hybrid(x, s, cfg, beta)
-
+    rule = METHODS[spec.method]
+    if stream is None and rule.scheme != "SN":
+        stream = SeededStream(spec.seed)
+    cv, selected = _critical(rule, x, s, spec.alpha, spec.beta, spec.replications, stream)
     diagnostics = None
     if include_diagnostics and not s.any_degenerate():
         diagnostics = regularity_diagnostics(x)
-    return TestDecision(
-        statistic=value,
-        critical_value=float(cv),
-        reject=exceeds(s, cv),
-        selected=tuple(sorted(selected)),
-        method=spec,
-        diagnostics=diagnostics,
-    )
+    return decide(s, cv, selected, spec, diagnostics=diagnostics)

@@ -39,7 +39,7 @@ from .errors import (
 from .gaussian import SeededStream
 from .inference import GridPoint, invert_region
 from .simulate import DesignSpec, McConfig, run_mc
-from .threestep import ParametricMomentData, ThreeStepConfig, three_step_sets, three_step_test
+from .threestep import ParametricMomentData, ThreeStepConfig, three_step_test
 
 USAGE_ERROR = 64
 INPUT_ERROR = 2
@@ -297,7 +297,7 @@ def cmd_threestep(args) -> int:
         scheme=args.scheme, replications=args.reps, seed=args.seed,
     )
     decision = three_step_test(data, cfg)
-    j_hat, j_prime, j_dprime = three_step_sets(data, cfg)
+    j_hat, j_prime, j_dprime = decision.sets
     print(_decision_json(decision, extra={
         "alpha": _jsonable(cfg.alpha),
         "beta": _jsonable(cfg.beta),

@@ -11,7 +11,9 @@ reporting (selected sets, error messages).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +34,63 @@ __all__ = [
     "TestDecision",
 ]
 
-METHODS = ("sn1", "sn2", "mb1", "mb2", "eb1", "eb2", "hyb-mb", "hyb-eb")
+
+class Rule(NamedTuple):
+    """The three choices behind one method's critical value, and its limit on ``beta``.
+
+    ``selection`` picks the columns the cutoff runs over: ``None`` keeps them
+    all, ``"sn"`` keeps scores above ``-2 c_SN(beta)``, ``"boot"`` scores
+    above ``-2 c_B(beta)``.  ``scheme`` computes the cutoff: the ``"SN"``
+    formula or the ``"MB"``/``"EB"`` bootstrap.  The cutoff is taken at level
+    ``1 - alpha + m * beta``.  ``cap = (d, closed)`` requires
+    ``beta < alpha / d`` (``<=`` when ``closed``); ``None`` means the method
+    ignores ``beta``.
+    """
+
+    selection: str | None
+    scheme: str
+    m: int
+    cap: tuple[int, bool] | None
+
+
+METHODS = {
+    "sn1": Rule(None, "SN", 0, None),
+    "sn2": Rule("sn", "SN", 2, (3, False)),
+    "mb1": Rule(None, "MB", 0, None),
+    "mb2": Rule("boot", "MB", 2, (2, False)),
+    "eb1": Rule(None, "EB", 0, None),
+    "eb2": Rule("boot", "EB", 2, (2, False)),
+    "hyb-mb": Rule("sn", "MB", 2, (3, True)),
+    "hyb-eb": Rule("sn", "EB", 2, (3, True)),
+}
+
+
+def check_sizes(alpha, beta=None, *, cap=None, replications=None, seed=None):
+    """The one check of test sizes and bootstrap settings; raises ``ValueError``.
+
+    ``alpha`` must lie in (0, 0.5).  ``beta``, when given, must be finite;
+    with ``cap = (d, closed)`` it must also be positive and below
+    ``alpha / d`` (at most that when ``closed``).  ``replications``, when
+    given, must be at least 100, and ``seed`` must fit in an unsigned 64-bit
+    integer.
+    """
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
+    if beta is not None and not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    if beta is not None and cap is not None:
+        d, closed = cap
+        if not (0.0 < beta <= alpha / d if closed else 0.0 < beta < alpha / d):
+            raise ValueError(
+                f"beta must satisfy 0 < beta {'<=' if closed else '<'} alpha/{d}, "
+                f"got beta={beta} with alpha={alpha}"
+            )
+    if replications is not None and replications < 100:
+        raise ValueError(
+            "need at least 100 bootstrap replications for a usable quantile"
+        )
+    if seed is not None and not 0 <= int(seed) < 2 ** 64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 def as_sample_matrix(data) -> np.ndarray:
@@ -220,45 +278,19 @@ class CriticalValueSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "method", str(self.method).lower())
-        if self.method not in METHODS:
+        rule = METHODS.get(self.method)
+        if rule is None:
             raise ValueError(
-                f"unknown method {self.method!r}; expected one of {METHODS}"
+                f"unknown method {self.method!r}; expected one of {tuple(METHODS)}"
             )
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must lie in (0, 0.5), got {self.alpha}")
-        if self.uses_selection:
-            if not 0.0 < self.beta:
-                raise ValueError("selection size beta must be positive")
-            if self.method == "sn2" and not self.beta < self.alpha / 3:
-                raise ValueError("two-step SN requires beta < alpha/3")
-            if self.method in ("mb2", "eb2") and not self.beta < self.alpha / 2:
-                raise ValueError("two-step bootstrap requires beta < alpha/2")
-            if self.method.startswith("hyb") and not self.beta <= self.alpha / 3:
-                raise ValueError("hybrid methods require beta <= alpha/3")
-        if self.uses_bootstrap:
-            if self.replications < 100:
-                raise ValueError(
-                    "bootstrap needs at least 100 replications for a usable quantile"
-                )
-            if not 0 <= int(self.seed) < 2 ** 64:
-                raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-    @property
-    def uses_selection(self) -> bool:
-        return self.method in ("sn2", "mb2", "eb2", "hyb-mb", "hyb-eb")
-
-    @property
-    def uses_bootstrap(self) -> bool:
-        return self.method not in ("sn1", "sn2")
-
-    @property
-    def scheme(self) -> str:
-        """Bootstrap scheme behind the method: ``MB`` or ``EB``."""
-        if self.method in ("mb1", "mb2", "hyb-mb"):
-            return "MB"
-        if self.method in ("eb1", "eb2", "hyb-eb"):
-            return "EB"
-        raise ValueError(f"{self.method} is not a bootstrap method")
+        boot = rule.scheme != "SN"
+        check_sizes(
+            self.alpha,
+            self.beta,
+            cap=rule.cap,
+            replications=self.replications if boot else None,
+            seed=self.seed if boot else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -273,7 +305,7 @@ class TestDecision:
     1-based columns the critical value was computed over (the full set for
     one-step methods).  ``method`` echoes the spec that produced the
     decision; the dependent-data and three-step tests echo a short tag
-    instead.
+    instead.  ``sets`` holds the three-step sets ``(J, J', J'')``.
     """
 
     statistic: float
@@ -282,3 +314,23 @@ class TestDecision:
     selected: tuple[int, ...]
     method: CriticalValueSpec | str
     diagnostics: RegularityDiagnostics | None = field(default=None)
+    sets: tuple[frozenset[int], frozenset[int], frozenset[int]] | None = None
+
+
+def decide(summary: MomentSummary, critical_value: float, selected, method, *,
+           diagnostics=None, sets=None) -> TestDecision:
+    """The decision record: statistic from the max over ``summary``, reject from :func:`exceeds`.
+
+    A degenerate summary reports :attr:`DegenerateStatistic.bound`.  A
+    summary over no columns has statistic 0 and never rejects.
+    """
+    stat = test_statistic(summary) if summary.p else 0.0
+    return TestDecision(
+        statistic=stat.bound if isinstance(stat, DegenerateStatistic) else stat,
+        critical_value=float(critical_value),
+        reject=exceeds(summary, critical_value),
+        selected=tuple(sorted(selected)),
+        method=method,
+        diagnostics=diagnostics,
+        sets=sets,
+    )

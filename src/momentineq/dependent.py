@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .bootstrap import _chunk, _quantile
-from .core import MomentSummary, TestDecision, as_sample_matrix, summarize
+from .core import MomentSummary, TestDecision, as_sample_matrix, check_sizes, summarize
 from .gaussian import SeededStream, open_uniform
 
 __all__ = [
@@ -91,14 +91,13 @@ def bmb_critical(sample, plan: BlockPlan, alpha: float, B: int,
     the critical value is the ``1 - alpha`` empirical quantile of ``B``
     replications.
     """
+    B = int(B)
+    check_sizes(alpha, replications=B)
     x = as_sample_matrix(sample)
     if plan.n != x.shape[0]:
         raise ValueError(
             f"block plan is for n={plan.n} but sample has n={x.shape[0]} rows"
         )
-    B = int(B)
-    if B < 100:
-        raise ValueError("need at least 100 bootstrap replications")
     s = summarize(x)
     xc = x - s.means
     block_sums = np.stack([xc[a:b].sum(axis=0) for a, b in plan.large_blocks])

@@ -19,15 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, _two_step, run_test
+from .bootstrap import _critical, run_test
 from .core import (
+    METHODS,
     CriticalValueSpec,
-    DegenerateStatistic,
     MomentSummary,
     TestDecision,
     as_sample_matrix,
-    exceeds,
-    test_statistic,
+    decide,
 )
 from .errors import GridPointError, InputError
 from .gaussian import SeededStream
@@ -155,20 +154,8 @@ def approximate_two_step_test(approx: ApproxSample, spec: CriticalValueSpec, *,
     # column means reproduces the ordinary test bit for bit
     sds = np.sqrt(np.mean((np.asfortranarray(x) - mu) ** 2, axis=0))
     s = MomentSummary(means=mu, sds=sds, n=n, degenerate=sds == 0.0)
-    stat = test_statistic(s)
-    value = stat.bound if isinstance(stat, DegenerateStatistic) else stat
-    cfg = BootstrapConfig(
-        scheme=spec.scheme,
-        replications=spec.replications,
-        stream=stream if stream is not None else SeededStream(spec.seed),
-        alpha=spec.alpha,
-        beta=spec.beta,
-    )
-    cv, selected = _two_step(x, s, cfg)
-    return TestDecision(
-        statistic=value,
-        critical_value=float(cv),
-        reject=exceeds(s, cv),
-        selected=tuple(sorted(selected)),
-        method=spec,
-    )
+    if stream is None:
+        stream = SeededStream(spec.seed)
+    cv, selected = _critical(METHODS[spec.method], x, s, spec.alpha, spec.beta,
+                             spec.replications, stream)
+    return decide(s, cv, selected, spec)

@@ -26,7 +26,7 @@ from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from .bootstrap import run_test
-from .core import CriticalValueSpec
+from .core import CriticalValueSpec, check_sizes
 from .gaussian import SeededStream, open_uniform
 
 __all__ = [
@@ -176,6 +176,9 @@ class McConfig:
             raise ValueError("need at least one method")
         if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be a positive integer")
+        # the replication streams hang below the seed whatever the methods
+        check_sizes(self.alpha, seed=self.seed)
+        self.specs()  # each method's beta, B and seed checks
 
     def specs(self) -> tuple[CriticalValueSpec, ...]:
         return tuple(
@@ -202,12 +205,29 @@ class McResult:
     elapsed_seconds: float = field(compare=False, default=0.0)
 
 
-def _mc_replication(design, specs, root, k):
-    rep = root.child("mc", k)
-    x = draw_sample(design, rep)
-    return [
-        run_test(x, spec, stream=rep.child(spec.method)).reject for spec in specs
-    ]
+def _rejections(mc: McConfig, samples) -> np.ndarray:
+    """Reject indicators, shape ``(sims, samples per replication, methods)``.
+
+    The one replication loop: replication ``k`` runs on substream
+    ``(seed, "mc", k)``, ``samples(rep)`` yields its data sets, and every
+    method runs on each.
+    """
+    specs = mc.specs()
+    root = SeededStream(mc.seed)
+
+    def replication(k):
+        rep = root.child("mc", k)
+        return [
+            [run_test(x, spec, stream=rep.child(spec.method)).reject for spec in specs]
+            for x in samples(rep)
+        ]
+
+    if mc.threads is not None and mc.threads > 1:
+        with ThreadPoolExecutor(max_workers=mc.threads) as pool:
+            rows = list(pool.map(replication, range(mc.sims)))
+    else:
+        rows = [replication(k) for k in range(mc.sims)]
+    return np.asarray(rows, dtype=np.float64)
 
 
 def run_mc(design: DesignSpec, mc: McConfig) -> McResult:
@@ -219,21 +239,9 @@ def run_mc(design: DesignSpec, mc: McConfig) -> McResult:
     variance of method comparisons.  Results are identical under any
     ``threads`` setting.
     """
-    specs = mc.specs()
-    root = SeededStream(mc.seed)
     t0 = time.perf_counter()
-    if mc.threads is not None and mc.threads > 1:
-        with ThreadPoolExecutor(max_workers=mc.threads) as pool:
-            rows = list(
-                pool.map(
-                    lambda k: _mc_replication(design, specs, root, k),
-                    range(mc.sims),
-                )
-            )
-    else:
-        rows = [_mc_replication(design, specs, root, k) for k in range(mc.sims)]
+    rejects = _rejections(mc, lambda rep: [draw_sample(design, rep)])[:, 0]
     elapsed = time.perf_counter() - t0
-    rejects = np.asarray(rows, dtype=np.float64)
     rates = rejects.mean(axis=0)
     ses = np.sqrt(rates * (1.0 - rates) / mc.sims)
     return McResult(
@@ -264,24 +272,20 @@ def power_sweep(n: int, p: int, rho: float, r_values, mc: McConfig) -> PowerCurv
     ``rho``.  Replication ``k`` reuses the same innovation draw for every
     ``r``, so per-replication rejection is monotone in ``r`` by construction
     for the one-step methods and the estimated curves compare cleanly.
+    Replications run through the same loop as :func:`run_mc`, so
+    ``mc.threads`` applies and never changes the result.
     """
     r_values = tuple(float(r) for r in r_values)
     if any(r < 0 for r in r_values):
         raise ValueError("signal strengths must be nonnegative")
-    specs = mc.specs()
-    root = SeededStream(mc.seed)
-    rejects = np.zeros((len(r_values), mc.sims, len(specs)))
-    for k in range(mc.sims):
-        rep = root.child("mc", k)
-        gen = rep.generator()
-        eps = _innovations(gen, n, p, "normal")
+
+    def shifted(rep):
+        eps = _innovations(rep.generator(), n, p, "normal")
         base = _apply_equi(eps, rho) if rho > 0 else eps
-        for i, r in enumerate(r_values):
-            x = base + r
-            for s_idx, spec in enumerate(specs):
-                decision = run_test(x, spec, stream=rep.child(spec.method))
-                rejects[i, k, s_idx] = decision.reject
-    rates = rejects.mean(axis=1)
+        return (base + r for r in r_values)
+
+    # the reshape keeps the (r, method) shape when r_values is empty
+    rates = _rejections(mc, shifted).mean(axis=0).reshape(len(r_values), len(mc.methods))
     ses = np.sqrt(rates * (1.0 - rates) / mc.sims)
     return PowerCurve(
         r_values=r_values,

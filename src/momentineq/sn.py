@@ -1,31 +1,28 @@
-"""One-step and two-step self-normalized (analytic) critical values.
+"""Self-normalized (analytic) critical values and the column selection rules.
 
 These cutoffs need no simulation: the one-step value is a normal-quantile
-formula in ``(alpha, p, n)``, and the two-step variant first discards
-clearly-slack inequalities (studentized score below ``-2 c_sn(beta)``) and
-re-applies the formula with the selected count.  They depend on ``p`` only
-through ``log p`` but ignore correlation across columns, so they are
-conservative relative to the bootstrap cutoffs when columns are dependent.
+formula in ``(alpha, p, n)``.  They depend on ``p`` only through ``log p``
+but ignore correlation across columns, so they are conservative relative to
+the bootstrap cutoffs when columns are dependent.
+
+The methods themselves are rows of the method table
+(:data:`~momentineq.core.METHODS`): ``sn1`` is the formula over all
+columns, ``sn2`` first keeps the columns :func:`sn_select` keeps (score
+above ``-2 c_sn(beta)``) and applies the formula with tail
+``(alpha - 2 beta) / k`` over the ``k`` kept columns, and the hybrid
+methods pair :func:`sn_select` with a bootstrap cutoff.  Run them through
+:func:`~momentineq.bootstrap.run_test`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ndtri
 
-from .core import (
-    CriticalValueSpec,
-    MomentSummary,
-    TestDecision,
-    exceeds,
-    test_statistic,
-    DegenerateStatistic,
-)
+from .core import MomentSummary, check_sizes
 from .errors import UndefinedCriticalValueError
 
-__all__ = ["SnConfig", "sn_one_step", "sn_select", "sn_two_step"]
+__all__ = ["sn_one_step", "sn_select"]
 
 
 def _sn_from_tail(tail: float, n: int) -> float:
@@ -40,8 +37,7 @@ def _sn_from_tail(tail: float, n: int) -> float:
 
 def sn_one_step(alpha: float, p: int, n: int) -> float:
     """One-step self-normalized critical value for ``p`` inequalities at size ``alpha``."""
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
+    check_sizes(alpha)
     if p < 1 or n < 2:
         raise ValueError("need p >= 1 and n >= 2")
     return _sn_from_tail(alpha / p, n)
@@ -69,50 +65,3 @@ def sn_select(summary: MomentSummary, beta: float) -> frozenset[int]:
         raise ValueError(f"beta must lie in (0, 0.5), got {beta}")
     c_beta = sn_one_step(beta, summary.p, summary.n)
     return threshold_select(summary, -2.0 * c_beta)
-
-
-@dataclass(frozen=True)
-class SnConfig:
-    """Tuning constants for the self-normalized test."""
-
-    alpha: float
-    beta: float = 0.001
-    use_selection: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must lie in (0, 0.5), got {self.alpha}")
-        if self.use_selection and not 0.0 < self.beta < self.alpha / 3:
-            raise ValueError(
-                "selection requires 0 < beta < alpha/3 "
-                f"(got alpha={self.alpha}, beta={self.beta})"
-            )
-
-
-def sn_two_step(summary: MomentSummary, cfg: SnConfig) -> TestDecision:
-    """Two-step self-normalized test on a column summary.
-
-    Selects at size ``cfg.beta``, then applies the one-step formula with the
-    tail mass ``(alpha - 2 beta) / k`` where ``k`` is the selected count; an
-    empty selection gives critical value 0.  The statistic is always the max
-    over *all* columns; selection only sharpens the cutoff.
-    """
-    if not cfg.use_selection:
-        raise ValueError("sn_two_step requires use_selection=True")
-    selected = sn_select(summary, cfg.beta)
-    k = len(selected)
-    if k == 0:
-        cv = 0.0
-    else:
-        cv = _sn_from_tail((cfg.alpha - 2.0 * cfg.beta) / k, summary.n)
-    stat = test_statistic(summary)
-    value = stat.bound if isinstance(stat, DegenerateStatistic) else stat
-    return TestDecision(
-        statistic=value,
-        critical_value=cv,
-        reject=exceeds(summary, cv),
-        selected=tuple(sorted(selected)),
-        method=CriticalValueSpec(
-            method="sn2", alpha=cfg.alpha, beta=cfg.beta
-        ),
-    )

@@ -17,11 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import _quantile, _values
-from .core import MomentSummary, TestDecision, as_sample_matrix, summarize
+from .bootstrap import SCHEMES, _cutoff, _quantile, _select, _values
+from .core import (
+    MomentSummary,
+    Rule,
+    TestDecision,
+    as_sample_matrix,
+    check_sizes,
+    decide,
+    summarize,
+)
 from .errors import DegenerateColumnError, InputError
 from .gaussian import SeededStream
-from .sn import threshold_select
 
 __all__ = [
     "ParametricMomentData",
@@ -76,7 +83,8 @@ class ThreeStepConfig:
 
     ``phi`` splits the selection size ``beta`` into the two gradient
     thresholds (``beta + phi`` and ``beta - phi``); when omitted it defaults
-    to ``min(beta / 2, 1 / log n)``, resolved once ``n`` is known.
+    to ``min(beta / 2, 1 / log n)``, resolved once ``n`` is known.  All
+    bootstrap draws come from streams below ``SeededStream(seed)``.
     """
 
     alpha: float
@@ -84,38 +92,31 @@ class ThreeStepConfig:
     phi: float | None = None
     scheme: str = "MB"
     replications: int = 1000
-    stream: SeededStream | None = None
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", str(self.scheme).upper())
-        if self.scheme not in ("MB", "EB"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be MB or EB, got {self.scheme!r}")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must lie in (0, 0.5), got {self.alpha}")
-        # The final quantile level is 1 - alpha + 4*beta, which must stay
-        # below 1; that pins beta < alpha/4.
-        if not 0.0 < self.beta < self.alpha / 4:
-            raise ValueError(
-                "three-step requires 0 < beta < alpha/4 "
-                f"(got alpha={self.alpha}, beta={self.beta})"
-            )
+        check_sizes(self.alpha, self.beta, cap=self.rule.cap,
+                    replications=self.replications, seed=self.seed)
         if self.phi is not None and not 0.0 < self.phi < self.beta:
             raise ValueError(
                 f"phi must satisfy 0 < phi < beta, got phi={self.phi}"
             )
-        if self.replications < 100:
-            raise ValueError(
-                "need at least 100 bootstrap replications for a usable quantile"
-            )
+
+    @property
+    def rule(self) -> Rule:
+        """Bootstrap selection of ``J``, then the ``1 - alpha + 4 beta`` quantile.
+
+        That level must stay below 1, which pins ``beta < alpha/4``.
+        """
+        return Rule("boot", self.scheme, 4, (4, False))
 
     def resolve_phi(self, n: int) -> float:
         if self.phi is not None:
             return self.phi
         return min(self.beta / 2.0, 1.0 / math.log(max(n, 3)))
-
-    def resolve_stream(self) -> SeededStream:
-        return self.stream if self.stream is not None else SeededStream(self.seed)
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,14 @@ def gradient_summary(data: ParametricMomentData) -> GradientSummary:
     )
 
 
+def _gradient_draws(data: ParametricMomentData, flat: MomentSummary,
+                    cfg: ThreeStepConfig, stream: SeededStream) -> np.ndarray:
+    """Bootstrap draws of the max studentized gradient average over all ``p * r`` coordinates."""
+    vflat = data.v.reshape(data.n, data.p * data.r)
+    return _values(cfg.scheme, vflat, flat.means, flat.sds, np.arange(flat.p),
+                   cfg.replications, stream)
+
+
 def gradient_bootstrap_critical(data: ParametricMomentData, gamma: float,
                                 cfg: ThreeStepConfig) -> float:
     """``1 - gamma`` bootstrap quantile of the max studentized gradient average.
@@ -165,40 +174,20 @@ def gradient_bootstrap_critical(data: ParametricMomentData, gamma: float,
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    flat = _flat_gradient_summary(data)
-    vflat = data.v.reshape(data.n, data.p * data.r)
-    vals = _values(
-        cfg.scheme, vflat, flat.means, flat.sds, np.arange(flat.p),
-        cfg.replications, cfg.resolve_stream().child("grad-crit"),
-    )
+    stream = SeededStream(cfg.seed).child("grad-crit")
+    vals = _gradient_draws(data, _flat_gradient_summary(data), cfg, stream)
     return _quantile(vals, 1.0 - gamma)
 
 
-def _gradient_thresholds(data, flat, cfg, stream, phi):
-    """Gradient quantiles at sizes ``beta + phi`` and ``beta - phi`` from shared draws."""
-    vflat = data.v.reshape(data.n, data.p * data.r)
-    vals = _values(
-        cfg.scheme, vflat, flat.means, flat.sds, np.arange(flat.p),
-        cfg.replications, stream.child("grad-select"),
-    )
-    c_plus = _quantile(vals, 1.0 - (cfg.beta + phi))
-    c_minus = _quantile(vals, 1.0 - (cfg.beta - phi))
-    return c_plus, c_minus
-
-
 def _sets(data, g_summary, cfg, stream):
-    x = data.g
-    cols0 = np.arange(g_summary.p)
-    g_vals = _values(
-        cfg.scheme, x, g_summary.means, g_summary.sds, cols0,
-        cfg.replications, stream.child("select"),
-    )
-    c_beta = _quantile(g_vals, 1.0 - cfg.beta)
-    j_hat = threshold_select(g_summary, -2.0 * c_beta)
+    j_hat = _select(cfg.rule, data.g, g_summary, cfg.beta, cfg.replications, stream)
 
+    # both gradient thresholds come from one shared set of draws
     flat = _flat_gradient_summary(data)
     phi = cfg.resolve_phi(data.n)
-    c_plus, c_minus = _gradient_thresholds(data, flat, cfg, stream, phi)
+    vals = _gradient_draws(data, flat, cfg, stream.child("grad-select"))
+    c_plus = _quantile(vals, 1.0 - (cfg.beta + phi))
+    c_minus = _quantile(vals, 1.0 - (cfg.beta - phi))
     scores = (
         math.sqrt(data.n)
         * flat.means.reshape(data.p, data.r)
@@ -220,10 +209,10 @@ def three_step_sets(data: ParametricMomentData, cfg: ThreeStepConfig):
     slack-inequality selection on the data itself).  ``J'`` and ``J''`` keep
     columns whose *every* gradient score clears ``-c_grad(beta + phi)`` and
     ``-3 c_grad(beta - phi)`` respectively; both gradient thresholds come
-    from one shared set of gradient bootstrap draws.
+    from one shared set of gradient bootstrap draws.  :func:`three_step_test`
+    reports the same sets in its decision's ``sets``.
     """
-    g_summary = summarize(data.g)
-    return _sets(data, g_summary, cfg, cfg.resolve_stream())
+    return _sets(data, summarize(data.g), cfg, SeededStream(cfg.seed))
 
 
 def three_step_test(data: ParametricMomentData, cfg: ThreeStepConfig) -> TestDecision:
@@ -232,36 +221,19 @@ def three_step_test(data: ParametricMomentData, cfg: ThreeStepConfig) -> TestDec
     The statistic is the max score over ``J'``; the critical value is the
     ``1 - alpha + 4 beta`` bootstrap quantile over ``J`` intersected with
     ``J''``.  An empty ``J'`` sets both the statistic and the critical value
-    to 0, so the test never rejects (the comparison is strict).
+    to 0, so the test never rejects (the comparison is strict).  The
+    decision carries ``(J, J', J'')`` as ``sets``.
     """
     g_summary = summarize(data.g)
-    if g_summary.any_degenerate():
-        raise DegenerateColumnError(
-            g_summary.degenerate_columns(), context="three-step test undefined"
-        )
-    stream = cfg.resolve_stream()
-    j_hat, j_prime, j_dprime = _sets(data, g_summary, cfg, stream)
+    stream = SeededStream(cfg.seed)
+    sets = j_hat, j_prime, j_dprime = _sets(data, g_summary, cfg, stream)
     cv_set = j_hat & j_dprime
-
-    if not j_prime:
-        statistic, cv = 0.0, 0.0
-    else:
-        scores = (
-            math.sqrt(data.n) * g_summary.means / g_summary.sds
-        )
-        keep = np.asarray(sorted(j_prime), dtype=np.intp) - 1
-        statistic = float(scores[keep].max())
-        cols0 = np.asarray(sorted(cv_set), dtype=np.intp) - 1
-        vals = _values(
-            cfg.scheme, data.g, g_summary.means, g_summary.sds, cols0,
-            cfg.replications, stream.child("crit"),
-        )
-        cv = _quantile(vals, 1.0 - cfg.alpha + 4.0 * cfg.beta)
-
-    return TestDecision(
-        statistic=statistic,
-        critical_value=float(cv),
-        reject=bool(statistic > cv),
-        selected=tuple(sorted(cv_set)),
-        method=f"3s-{cfg.scheme.lower()}",
+    # over no columns the cutoff is 0 and nothing is drawn
+    cv = _cutoff(cfg.rule, data.g, g_summary, cv_set if j_prime else frozenset(),
+                 cfg.alpha, cfg.beta, cfg.replications, stream)
+    keep = np.asarray(sorted(j_prime), dtype=np.intp) - 1
+    kept = MomentSummary(
+        means=g_summary.means[keep], sds=g_summary.sds[keep],
+        n=g_summary.n, degenerate=g_summary.degenerate[keep],
     )
+    return decide(kept, cv, cv_set, f"3s-{cfg.scheme.lower()}", sets=sets)

@@ -21,20 +21,13 @@ from momentineq import (
     one_step_critical,
     run_test,
     select_set,
+    sn_one_step,
+    sn_select,
     summarize,
     two_step_critical,
 )
 from momentineq.sn import threshold_select
-
-
-def sample_with_scores(scores, n=400):
-    """Data whose column means/sds are exactly score/sqrt(n) and 1."""
-    scores = np.asarray(scores, dtype=np.float64)
-    mu = scores / math.sqrt(n)
-    x = np.empty((n, len(scores)))
-    x[0::2] = mu + 1.0
-    x[1::2] = mu - 1.0
-    return x
+from score_samples import sample_with_scores
 
 
 @pytest.fixture(scope="module")
@@ -290,3 +283,50 @@ class TestRunTest:
         assert d.selected == (1, 3)
         d2 = run_test(x, CriticalValueSpec("hyb-eb", replications=300, seed=9))
         assert d2.selected == (1, 3)
+
+    def test_hybrid_drops_a_constant_slack_column(self):
+        # the SN rule drops a constant negative column, so the bootstrap
+        # cutoff never meets its zero variance
+        x = np.random.default_rng(3).normal(size=(40, 3))
+        x[:, 1] = -2.0
+        d = run_test(x, CriticalValueSpec("hyb-mb", replications=300, seed=1))
+        assert d.selected == (1, 3)
+        assert np.isfinite(d.critical_value)
+        with pytest.raises(DegenerateColumnError, match="2"):
+            run_test(x, CriticalValueSpec("mb2", replications=300, seed=1))
+
+
+class TestMethodTable:
+    """``run_test`` dispatches each method to the pipeline its public entry point runs."""
+
+    ALPHA, BETA, B = 0.05, 0.004, 300
+
+    @staticmethod
+    def public(method, x, stream):
+        alpha, beta, B = TestMethodTable.ALPHA, TestMethodTable.BETA, TestMethodTable.B
+        s = summarize(x)
+        if method == "sn1":
+            return sn_one_step(alpha, s.p, s.n), frozenset(range(1, s.p + 1))
+        if method == "sn2":
+            kept = sn_select(s, beta)
+            return sn_one_step(alpha - 2 * beta, len(kept), s.n), kept
+        cfg = BootstrapConfig(method[-2:] if method.startswith("hyb") else method[:2],
+                              B, stream, alpha=alpha, beta=beta)
+        if method.endswith("1"):
+            return one_step_critical(x, cfg), frozenset(range(1, s.p + 1))
+        if method.endswith("2"):
+            return two_step_critical(x, cfg), select_set(x, cfg)
+        return hybrid_critical(x, cfg, beta), sn_select(s, beta)
+
+    @pytest.mark.parametrize(
+        "method", ["sn1", "sn2", "mb1", "mb2", "eb1", "eb2", "hyb-mb", "hyb-eb"]
+    )
+    def test_run_test_matches_public_entry_point(self, method):
+        x = sample_with_scores([0.4, -40.0, 0.0, 1.1, -3.0])
+        stream = SeededStream(77).child("shared")
+        spec = CriticalValueSpec(method, alpha=self.ALPHA, beta=self.BETA,
+                                 replications=self.B)
+        d = run_test(x, spec, stream=stream)
+        cv, kept = self.public(method, x, stream)
+        assert d.critical_value == cv
+        assert d.selected == tuple(sorted(kept))

@@ -101,6 +101,11 @@ class TestCmdTest:
                    "--alpha", "0.05", "--beta", "0.4"])
         assert rc == 64
 
+    def test_non_finite_beta_is_usage_error_for_one_step_methods(self, normal_csv, capsys):
+        rc = main(["test", "--input", normal_csv, "--method", "sn1", "--beta", "inf"])
+        assert rc == 64
+        assert "beta" in capsys.readouterr().err
+
     def test_unknown_method_is_usage_error(self, tmp_path, normal_csv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["test", "--input", normal_csv, "--method", "wald"])
@@ -225,6 +230,29 @@ class TestCmdThreestep:
         assert payload["J_dprime"] == [1, 2, 3]
         assert set(payload) >= {"statistic", "critical_value", "reject", "J"}
 
+    def test_sets_come_from_the_one_test_run(self, tmp_path, capsys, monkeypatch):
+        import momentineq.threestep as threestep
+
+        rng = np.random.default_rng(33)
+        gp = write_csv(tmp_path / "g.csv", rng.normal(size=(60, 3)))
+        vp = write_csv(tmp_path / "v.csv", rng.normal(size=(60, 6)) + 1.0)
+        calls = {"three_step_sets": 0, "_sets": 0}
+
+        def counted(name):
+            original = getattr(threestep, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(threestep, name, counted(name))
+        assert main(["threestep", "--g", gp, "--v", vp, "--r", "2", "--seed", "4"]) == 0
+        assert calls == {"three_step_sets": 0, "_sets": 1}
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["J_prime"] == [1, 2, 3]
+
     def test_shape_mismatch_is_input_error(self, tmp_path, capsys):
         rng = np.random.default_rng(32)
         gp = write_csv(tmp_path / "g.csv", rng.normal(size=(30, 3)))
@@ -250,6 +278,12 @@ class TestCmdBmb:
         assert main(["bmb", "--input", path, "--reps", "200"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["q"], payload["r"]) == (7, 2)
+
+    def test_alpha_outside_the_test_sizes_is_usage_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(44)
+        path = write_csv(tmp_path / "x.csv", rng.normal(size=(120, 4)))
+        assert main(["bmb", "--input", path, "--alpha", "0.9", "--reps", "200"]) == 64
+        assert "alpha" in capsys.readouterr().err
 
     def test_infeasible_blocks_are_precondition_error(self, tmp_path, capsys):
         rng = np.random.default_rng(43)

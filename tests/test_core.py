@@ -288,3 +288,9 @@ class TestCriticalValueSpec:
         with pytest.raises(ValueError):
             CriticalValueSpec("eb1", replications=50)
         CriticalValueSpec("sn1", replications=50)  # analytic: ignored
+
+    @pytest.mark.parametrize("method", ["sn1", "mb1", "eb1", "sn2", "mb2", "hyb-eb"])
+    @pytest.mark.parametrize("beta", [float("inf"), float("nan")])
+    def test_rejects_non_finite_beta_for_every_method(self, method, beta):
+        with pytest.raises(ValueError, match="beta"):
+            CriticalValueSpec(method, beta=beta)

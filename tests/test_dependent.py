@@ -166,3 +166,12 @@ class TestBmbTest:
         b = bmb_test(x, plan, 0.05, 400, SeededStream(9))
         assert a == b
         assert a.method == "bmb"
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.9, 0.0])
+    def test_alpha_outside_the_test_sizes_is_rejected(self, alpha):
+        x = np.random.default_rng(7).normal(size=(60, 3))
+        plan = make_blocks(60, 8, 3)
+        with pytest.raises(ValueError, match="alpha"):
+            bmb_critical(x, plan, alpha, 400, SeededStream(9))
+        with pytest.raises(ValueError, match="alpha"):
+            bmb_test(x, plan, alpha, 400, SeededStream(9))

@@ -167,6 +167,17 @@ class TestRunMc:
         with pytest.raises(ValueError):
             McConfig(sims=10, methods=())
 
+    @pytest.mark.parametrize("bad", [
+        {"alpha": 0.9},
+        {"seed": 2 ** 64},
+        {"methods": ("mb1",), "bootstrap_reps": 50},
+        {"methods": ("mb2",), "beta": 0.03},
+        {"methods": ("wald",)},
+    ])
+    def test_sizes_checked_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            McConfig(sims=10, **bad)
+
 
 class TestPowerSweep:
     def test_monotone_and_anchored_at_size(self):
@@ -179,6 +190,13 @@ class TestPowerSweep:
             assert all(a <= b for a, b in zip(rates, rates[1:]))
             assert rates[0] <= 0.12
             assert rates[-1] >= 0.9
+
+    def test_thread_count_does_not_change_rates(self):
+        kw = dict(sims=16, bootstrap_reps=200, methods=("sn2", "mb1"), seed=8)
+        serial = power_sweep(60, 5, 0.3, [0.0, 0.3], McConfig(**kw))
+        pooled = power_sweep(60, 5, 0.3, [0.0, 0.3], McConfig(threads=2, **kw))
+        assert serial.rates == pooled.rates
+        assert serial.ses == pooled.ses
 
     def test_rejects_negative_shift(self):
         mc = McConfig(sims=10, methods=("sn1",), seed=1)

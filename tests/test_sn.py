@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from momentineq import (
+    CriticalValueSpec,
     MomentSummary,
-    SnConfig,
     UndefinedCriticalValueError,
     normal_quantile,
+    run_test,
     sn_one_step,
     sn_select,
-    sn_two_step,
     summarize,
 )
+from score_samples import sample_with_scores
 
 mp.mp.dps = 40
 
@@ -33,6 +34,11 @@ def summary_with_scores(scores, n=4):
     return MomentSummary(
         means=means, sds=sds, n=n, degenerate=np.zeros(len(scores), dtype=bool)
     )
+
+
+def sn2(scores, beta=0.001, n=400):
+    spec = CriticalValueSpec("sn2", alpha=0.05, beta=beta)
+    return run_test(sample_with_scores(scores, n), spec)
 
 
 class TestOneStep:
@@ -117,17 +123,15 @@ class TestSelection:
 
 class TestTwoStep:
     def test_empty_selection_gives_zero_cutoff(self):
-        s = summary_with_scores([-50.0, -60.0], n=400)
-        decision = sn_two_step(s, SnConfig(alpha=0.05, beta=0.001))
+        decision = sn2([-50.0, -60.0])
         assert decision.critical_value == 0.0
         # scores are negative, so T < 0 = critical value: no rejection
         assert decision.reject is False
         assert decision.selected == ()
 
     def test_full_selection_small_beta_approaches_one_step(self):
-        s = summary_with_scores([0.1, 0.2, 0.3, 0.4], n=400)
         beta = 1e-12
-        decision = sn_two_step(s, SnConfig(alpha=0.05, beta=beta))
+        decision = sn2([0.1, 0.2, 0.3, 0.4], beta=beta)
         assert decision.selected == (1, 2, 3, 4)
         assert abs(
             decision.critical_value - sn_one_step(0.05 - 2 * beta, 4, 400)
@@ -136,33 +140,28 @@ class TestTwoStep:
 
     def test_single_survivor_formula(self):
         # one binding column, others far below any threshold
-        s = summary_with_scores([0.0, -80.0, -90.0], n=400)
-        decision = sn_two_step(s, SnConfig(alpha=0.05, beta=0.001))
+        decision = sn2([0.0, -80.0, -90.0])
         assert decision.selected == (1,)
         z = normal_quantile(1 - 0.048)
         expected = z / math.sqrt(1 - z * z / 400)
         assert abs(decision.critical_value - expected) <= 1e-12
 
     def test_cutoff_nondecreasing_in_selected_count(self):
-        cfg = SnConfig(alpha=0.05, beta=0.001)
         cutoffs = []
         for k in range(1, 6):
-            scores = [0.0] * k + [-90.0] * (6 - k)
-            d = sn_two_step(summary_with_scores(scores, n=400), cfg)
+            d = sn2([0.0] * k + [-90.0] * (6 - k))
             assert len(d.selected) == k
             cutoffs.append(d.critical_value)
         assert all(a <= b for a, b in zip(cutoffs, cutoffs[1:]))
 
     def test_statistic_is_full_set_max(self):
         # selection drops column 2 from the cutoff, never from the statistic
-        s = summary_with_scores([1.0, -50.0], n=400)
-        decision = sn_two_step(s, SnConfig(alpha=0.05, beta=0.001))
+        decision = sn2([1.0, -50.0], n=1024)  # exact scores: sqrt(n) = 32
         assert decision.selected == (1,)
         assert decision.statistic == 1.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SnConfig(alpha=0.05, beta=0.02)  # beta >= alpha/3
+            CriticalValueSpec("sn2", alpha=0.05, beta=0.02)  # beta >= alpha/3
         with pytest.raises(ValueError):
-            SnConfig(alpha=0.6)
-        SnConfig(alpha=0.05, beta=0.01, use_selection=False)
+            CriticalValueSpec("sn2", alpha=0.6)

@@ -251,3 +251,20 @@ class TestThreeStepTest:
             ThreeStepConfig(alpha=0.05, scheme="jackknife")
         cfg = ThreeStepConfig(alpha=0.05, beta=0.001)
         assert 0.0 < cfg.resolve_phi(400) < 0.001
+
+    @pytest.mark.parametrize("seed", [2 ** 64, -1])
+    def test_seed_checked_at_construction(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ThreeStepConfig(alpha=0.05, seed=seed)
+
+    def test_decision_carries_the_sets(self):
+        rng = np.random.default_rng(24)
+        data = ParametricMomentData(
+            g=rng.normal(size=(60, 5)),
+            v=rng.normal(size=(60, 5, 2)) + rng.normal(size=(1, 5, 2)),
+        )
+        cfg = ThreeStepConfig(alpha=0.05, beta=0.005, replications=300, seed=24)
+        d = three_step_test(data, cfg)
+        j_hat, j_prime, j_dprime = three_step_sets(data, cfg)
+        assert d.sets == (j_hat, j_prime, j_dprime)
+        assert d.selected == tuple(sorted(j_hat & j_dprime))
