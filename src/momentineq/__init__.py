@@ -12,13 +12,11 @@ rates, all with seed-exact determinism.
 
 from .core import (
     CriticalValueSpec,
-    DegenerateStatistic,
     MomentSummary,
     RegularityDiagnostics,
     TestDecision,
     as_sample_matrix,
     exceeds,
-    max_score_index,
     regularity_diagnostics,
     studentized_scores,
     summarize,
@@ -45,12 +43,9 @@ from .bootstrap import (
     two_step_critical,
 )
 from .threestep import (
-    GradientSummary,
     ParametricMomentData,
     ThreeStepConfig,
     gradient_bootstrap_critical,
-    gradient_summary,
-    three_step_sets,
     three_step_test,
 )
 from .dependent import (
@@ -59,7 +54,6 @@ from .dependent import (
     bmb_test,
     default_block_lengths,
     make_blocks,
-    nonstudentized_statistic,
 )
 from .inference import (
     ApproxSample,
@@ -83,13 +77,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CriticalValueSpec",
-    "DegenerateStatistic",
     "MomentSummary",
     "RegularityDiagnostics",
     "TestDecision",
     "as_sample_matrix",
     "exceeds",
-    "max_score_index",
     "regularity_diagnostics",
     "studentized_scores",
     "summarize",
@@ -114,19 +106,15 @@ __all__ = [
     "run_test",
     "select_set",
     "two_step_critical",
-    "GradientSummary",
     "ParametricMomentData",
     "ThreeStepConfig",
     "gradient_bootstrap_critical",
-    "gradient_summary",
-    "three_step_sets",
     "three_step_test",
     "BlockPlan",
     "bmb_critical",
     "bmb_test",
     "default_block_lengths",
     "make_blocks",
-    "nonstudentized_statistic",
     "ApproxSample",
     "ConfidenceRegion",
     "GridPoint",

@@ -3,10 +3,11 @@
 The data object throughout the package is an ``n x p`` matrix: row ``i`` is an
 observation, column ``j`` a moment inequality.  All column moments use the
 ``n``-divisor.  A column with zero sample variance makes the studentized score
-undefined; the rejection rule is then resolved coordinate-wise by
-:func:`exceeds`, which tests ``sqrt(n) * mean_j > c * sd_j`` and therefore
-stays meaningful at ``sd_j == 0``.  Columns are numbered from 1 in all
-reporting (selected sets, error messages).
+undefined; :func:`test_statistic` resolves it coordinate-wise (``+inf`` when
+such a column has positive mean, otherwise the max over the defined scores),
+so the one rejection rule ``test_statistic(s) > c`` of :func:`exceeds` is
+exactly ``sqrt(n) * mean_j > c * sd_j`` for some ``j``.  Columns are numbered
+from 1 in all reporting (selected sets, error messages).
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ __all__ = [
     "summarize",
     "studentized_scores",
     "test_statistic",
-    "DegenerateStatistic",
-    "max_score_index",
     "exceeds",
     "RegularityDiagnostics",
     "regularity_diagnostics",
@@ -120,18 +119,22 @@ def as_sample_matrix(data) -> np.ndarray:
 class MomentSummary:
     """Per-column sample means and n-divisor standard deviations.
 
-    ``degenerate[j]`` is True exactly when ``sds[j] == 0``; constant columns
-    are detected exactly (their mean is the constant itself, their sd is 0).
+    A column is degenerate exactly when its sd is 0; :func:`summarize` gives
+    sd 0 to constant columns and to no other.
     """
 
     means: np.ndarray
     sds: np.ndarray
     n: int
-    degenerate: np.ndarray
 
     @property
     def p(self) -> int:
         return self.means.shape[0]
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        """``sds == 0`` per column: the score is undefined there."""
+        return self.sds == 0.0
 
     def any_degenerate(self) -> bool:
         return bool(self.degenerate.any())
@@ -139,6 +142,20 @@ class MomentSummary:
     def degenerate_columns(self) -> tuple[int, ...]:
         """1-based indices of zero-variance columns."""
         return tuple(int(j) + 1 for j in np.flatnonzero(self.degenerate))
+
+
+def _column_sds(xf: np.ndarray, centers: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    """Root mean square of ``xf - centers`` per column, over the whole float range.
+
+    ``magnitude[j]`` bounds ``|x_ij|`` and ``|centers_j|``.  The deviations
+    are scaled by the power of two ``2^-e`` taken from ``frexp`` of it
+    before squaring and the root is scaled back, so squares neither
+    underflow nor overflow; power-of-two scaling is exact, so at normal
+    scales the result is the unscaled formula's, bit for bit.
+    """
+    e = np.frexp(magnitude)[1]
+    sds = np.sqrt(np.mean(np.ldexp(xf - centers, -e) ** 2, axis=0))
+    return np.ldexp(sds, e)
 
 
 def summarize(sample) -> MomentSummary:
@@ -150,14 +167,15 @@ def summarize(sample) -> MomentSummary:
     # bit-identical wherever the column sits and whatever sits next to it.
     xf = np.asfortranarray(x)
     means = xf.mean(axis=0)
-    sds = np.sqrt(np.mean((xf - means) ** 2, axis=0))
+    hi, lo = x.max(axis=0), x.min(axis=0)
+    sds = _column_sds(xf, means, np.maximum(hi, -lo))
     # A literally constant column must come out exactly (mean c, sd 0);
     # the centered two-pass formula can leave rounding residue there.
-    constant = x.max(axis=0) == x.min(axis=0)
+    constant = hi == lo
     if constant.any():
         means = np.where(constant, x[0], means)
         sds = np.where(constant, 0.0, sds)
-    return MomentSummary(means=means, sds=sds, n=n, degenerate=sds == 0.0)
+    return MomentSummary(means=means, sds=sds, n=n)
 
 
 def studentized_scores(summary: MomentSummary) -> np.ndarray:
@@ -168,65 +186,31 @@ def studentized_scores(summary: MomentSummary) -> np.ndarray:
     return np.where(summary.degenerate, np.nan, scores)
 
 
-@dataclass(frozen=True)
-class DegenerateStatistic:
-    """Marker returned by :func:`test_statistic` when some ``sd_j == 0``.
+def test_statistic(summary: MomentSummary) -> float:
+    """Max studentized score, with zero-variance columns resolved coordinate-wise.
 
-    Carries the summary so the rejection rule can still be applied through
-    :func:`exceeds`.  ``bound`` is the coordinate-wise resolution of the max:
-    ``+inf`` if a zero-variance column has positive mean (it exceeds any
-    cutoff), otherwise the max over the well-defined scores (``-inf`` when
-    none exists).
+    ``+inf`` when a zero-variance column has positive mean (it exceeds any
+    cutoff); otherwise the max over the defined scores, or ``-inf`` when no
+    column has one.
     """
-
-    summary: MomentSummary
-
-    @property
-    def bound(self) -> float:
-        s = self.summary
-        if np.any(s.degenerate & (s.means > 0)):
-            return np.inf
-        scores = studentized_scores(s)
-        finite = scores[~s.degenerate]
-        return float(finite.max()) if finite.size else -np.inf
-
-
-def test_statistic(summary: MomentSummary):
-    """Max studentized score, or a :class:`DegenerateStatistic` marker.
-
-    Returns a float when every column has positive sample variance;
-    otherwise returns the marker instead of silently dividing by zero.
-    """
-    if summary.any_degenerate():
-        return DegenerateStatistic(summary)
-    return float(studentized_scores(summary).max())
-
-
-def max_score_index(summary: MomentSummary) -> int:
-    """1-based index attaining the max score (lowest index on ties)."""
-    scores = studentized_scores(summary)
-    if summary.any_degenerate():
-        raise DegenerateColumnError(summary.degenerate_columns())
-    return int(np.argmax(scores)) + 1
+    degenerate = summary.degenerate
+    if np.any(degenerate & (summary.means > 0)):
+        return np.inf
+    scores = studentized_scores(summary)[~degenerate]
+    return float(scores.max()) if scores.size else -np.inf
 
 
 def exceeds(summary: MomentSummary, c: float) -> bool:
-    """Rejection rule: does ``sqrt(n) * mean_j > c * sd_j`` hold for some j?
+    """The rejection rule: ``test_statistic(summary) > c`` for a finite ``c``.
 
-    Coincides with ``test_statistic(summary) > c`` whenever no column is
-    degenerate.  For a zero-variance column the right side is 0 regardless
-    of ``c``, so such a column forces rejection exactly when its mean is
-    positive.
+    Through the resolution in :func:`test_statistic` this is
+    ``sqrt(n) * mean_j > c * sd_j`` for some ``j``: a zero-variance column
+    forces rejection exactly when its mean is positive.
     """
     c = float(c)
     if not np.isfinite(c):
         raise ValueError(f"critical value must be finite, got {c}")
-    s = summary
-    if np.any(s.degenerate & (s.means > 0)):
-        return True
-    scores = studentized_scores(s)
-    finite = scores[~s.degenerate]
-    return bool(finite.size and finite.max() > c)
+    return test_statistic(summary) > c
 
 
 @dataclass(frozen=True)
@@ -297,11 +281,9 @@ class CriticalValueSpec:
 class TestDecision:
     """Outcome of one test: statistic, cutoff, and the decision itself.
 
-    ``reject`` is the authoritative decision (computed through the
-    coordinate-wise rule of :func:`exceeds`); never re-derive it from
-    ``statistic > critical_value``, which is ill-defined under zero-variance
-    columns.  ``statistic`` is ``+/-inf`` when degeneracy forces the
-    resolution of :class:`DegenerateStatistic`.  ``selected`` holds the
+    ``reject`` is ``statistic > critical_value`` through :func:`exceeds`,
+    and ``statistic`` is ``+/-inf`` when zero-variance columns force the
+    resolution of :func:`test_statistic`.  ``selected`` holds the
     1-based columns the critical value was computed over (the full set for
     one-step methods).  ``method`` echoes the spec that produced the
     decision; the dependent-data and three-step tests echo a short tag
@@ -319,14 +301,12 @@ class TestDecision:
 
 def decide(summary: MomentSummary, critical_value: float, selected, method, *,
            diagnostics=None, sets=None) -> TestDecision:
-    """The decision record: statistic from the max over ``summary``, reject from :func:`exceeds`.
+    """The decision record: statistic from :func:`test_statistic`, reject from :func:`exceeds`.
 
-    A degenerate summary reports :attr:`DegenerateStatistic.bound`.  A
-    summary over no columns has statistic 0 and never rejects.
+    A summary over no columns has statistic 0 and never rejects.
     """
-    stat = test_statistic(summary) if summary.p else 0.0
     return TestDecision(
-        statistic=stat.bound if isinstance(stat, DegenerateStatistic) else stat,
+        statistic=test_statistic(summary) if summary.p else 0.0,
         critical_value=float(critical_value),
         reject=exceeds(summary, critical_value),
         selected=tuple(sorted(selected)),

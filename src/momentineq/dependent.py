@@ -6,7 +6,9 @@ normal multiplier is attached to each *large* block, and the critical value
 is the empirical quantile of the resulting weighted block sums.  The small
 blocks break the dependence between consecutive large-block sums and are
 ignored by the bootstrap statistic.  The test statistic here is
-non-studentized: ``max_j sqrt(n) * mean_j``.
+non-studentized: ``max_j sqrt(n) * mean_j``, the studentized one of a
+summary with unit standard deviations, so the decision goes through the
+same rule as every other test.
 """
 
 from __future__ import annotations
@@ -18,13 +20,19 @@ import numpy as np
 from scipy.special import ndtri
 
 from .bootstrap import _chunk, _quantile
-from .core import MomentSummary, TestDecision, as_sample_matrix, check_sizes, summarize
+from .core import (
+    MomentSummary,
+    TestDecision,
+    as_sample_matrix,
+    check_sizes,
+    decide,
+    summarize,
+)
 from .gaussian import SeededStream, open_uniform
 
 __all__ = [
     "BlockPlan",
     "make_blocks",
-    "nonstudentized_statistic",
     "bmb_critical",
     "bmb_test",
 ]
@@ -77,11 +85,6 @@ def default_block_lengths(n: int) -> tuple[int, int]:
     return q, r
 
 
-def nonstudentized_statistic(summary: MomentSummary) -> float:
-    """``max_j sqrt(n) * mean_j`` (no studentization, so not scale invariant)."""
-    return float(math.sqrt(summary.n) * summary.means.max())
-
-
 def bmb_critical(sample, plan: BlockPlan, alpha: float, B: int,
                  stream: SeededStream) -> float:
     """Block multiplier bootstrap critical value.
@@ -117,12 +120,5 @@ def bmb_test(sample, plan: BlockPlan, alpha: float, B: int,
     """Dependent-data test: reject when ``max_j sqrt(n) mean_j`` exceeds the BMB cutoff."""
     x = as_sample_matrix(sample)
     s = summarize(x)
-    statistic = nonstudentized_statistic(s)
     cv = bmb_critical(x, plan, alpha, B, stream)
-    return TestDecision(
-        statistic=statistic,
-        critical_value=float(cv),
-        reject=bool(statistic > cv),
-        selected=tuple(range(1, s.p + 1)),
-        method="bmb",
-    )
+    return decide(MomentSummary(s.means, np.ones(s.p), s.n), cv, range(1, s.p + 1), "bmb")

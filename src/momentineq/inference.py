@@ -25,6 +25,7 @@ from .core import (
     CriticalValueSpec,
     MomentSummary,
     TestDecision,
+    _column_sds,
     as_sample_matrix,
     decide,
 )
@@ -150,10 +151,10 @@ def approximate_two_step_test(approx: ApproxSample, spec: CriticalValueSpec, *,
     x = approx.xhat
     n = x.shape[0]
     mu = approx.muhat
-    # same column-stable reduction as summarize, so supplying the ordinary
-    # column means reproduces the ordinary test bit for bit
-    sds = np.sqrt(np.mean((np.asfortranarray(x) - mu) ** 2, axis=0))
-    s = MomentSummary(means=mu, sds=sds, n=n, degenerate=sds == 0.0)
+    # deviations from supplied means are bounded by both magnitudes
+    sds = _column_sds(np.asfortranarray(x), mu,
+                      np.maximum(np.abs(x).max(axis=0), np.abs(mu)))
+    s = MomentSummary(means=mu, sds=sds, n=n)
     if stream is None:
         stream = SeededStream(spec.seed)
     cv, selected = _critical(METHODS[spec.method], x, s, spec.alpha, spec.beta,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-from .core import MomentSummary, check_sizes
+from .core import MomentSummary, check_sizes, studentized_scores
 from .errors import UndefinedCriticalValueError
 
 __all__ = ["sn_one_step", "sn_select"]
@@ -50,11 +50,9 @@ def threshold_select(summary: MomentSummary, threshold: float) -> frozenset[int]
     nonnegative (maximally binding) and dropped when negative (maximally
     slack).
     """
-    root_n = np.sqrt(summary.n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = root_n * summary.means / summary.sds
     keep = np.where(
-        summary.degenerate, summary.means >= 0.0, scores > threshold
+        summary.degenerate, summary.means >= 0.0,
+        studentized_scores(summary) > threshold,
     )
     return frozenset(int(j) + 1 for j in np.flatnonzero(keep))
 

@@ -25,6 +25,7 @@ from .core import (
     as_sample_matrix,
     check_sizes,
     decide,
+    studentized_scores,
     summarize,
 )
 from .errors import DegenerateColumnError, InputError
@@ -33,10 +34,7 @@ from .gaussian import SeededStream
 __all__ = [
     "ParametricMomentData",
     "ThreeStepConfig",
-    "GradientSummary",
-    "gradient_summary",
     "gradient_bootstrap_critical",
-    "three_step_sets",
     "three_step_test",
 ]
 
@@ -119,16 +117,12 @@ class ThreeStepConfig:
         return min(self.beta / 2.0, 1.0 / math.log(max(n, 3)))
 
 
-@dataclass(frozen=True)
-class GradientSummary:
-    """Per-(j, l) gradient means and n-divisor standard deviations, shape (p, r)."""
-
-    means: np.ndarray
-    sds: np.ndarray
-    n: int
-
-
 def _flat_gradient_summary(data: ParametricMomentData) -> MomentSummary:
+    """Summary of the ``p * r`` gradient coordinates, column ``(j - 1) r + l`` for ``(j, l)``.
+
+    Raises on a zero-variance gradient column, naming the ``(j, l)`` pair;
+    the studentized gradient statistics are undefined there.
+    """
     flat = summarize(data.v.reshape(data.n, data.p * data.r))
     if flat.any_degenerate():
         r = data.r
@@ -141,19 +135,6 @@ def _flat_gradient_summary(data: ParametricMomentData) -> MomentSummary:
             context=f"zero-variance gradient column(s) {pairs}",
         )
     return flat
-
-
-def gradient_summary(data: ParametricMomentData) -> GradientSummary:
-    """Means and standard deviations of every gradient coordinate.
-
-    Raises on a zero-variance gradient column, naming the ``(j, l)`` pair;
-    the studentized gradient statistics are undefined there.
-    """
-    flat = _flat_gradient_summary(data)
-    shape = (data.p, data.r)
-    return GradientSummary(
-        means=flat.means.reshape(shape), sds=flat.sds.reshape(shape), n=data.n
-    )
 
 
 def _gradient_draws(data: ParametricMomentData, flat: MomentSummary,
@@ -180,19 +161,21 @@ def gradient_bootstrap_critical(data: ParametricMomentData, gamma: float,
 
 
 def _sets(data, g_summary, cfg, stream):
-    j_hat = _select(cfg.rule, data.g, g_summary, cfg.beta, cfg.replications, stream)
+    """The three estimated column sets ``(J, J', J'')``.
 
-    # both gradient thresholds come from one shared set of draws
+    ``J`` keeps columns whose score clears ``-2 c_boot(beta)`` (the usual
+    slack-inequality selection on the data itself).  ``J'`` and ``J''`` keep
+    columns whose *every* gradient score clears ``-c_grad(beta + phi)`` and
+    ``-3 c_grad(beta - phi)`` respectively; both gradient thresholds come
+    from one shared set of gradient bootstrap draws.
+    """
+    j_hat = _select(cfg.rule, data.g, g_summary, cfg.beta, cfg.replications, stream)
     flat = _flat_gradient_summary(data)
     phi = cfg.resolve_phi(data.n)
     vals = _gradient_draws(data, flat, cfg, stream.child("grad-select"))
     c_plus = _quantile(vals, 1.0 - (cfg.beta + phi))
     c_minus = _quantile(vals, 1.0 - (cfg.beta - phi))
-    scores = (
-        math.sqrt(data.n)
-        * flat.means.reshape(data.p, data.r)
-        / flat.sds.reshape(data.p, data.r)
-    )
+    scores = studentized_scores(flat).reshape(data.p, data.r)
     j_prime = frozenset(
         int(j) + 1 for j in np.flatnonzero((scores > -c_plus).all(axis=1))
     )
@@ -200,19 +183,6 @@ def _sets(data, g_summary, cfg, stream):
         int(j) + 1 for j in np.flatnonzero((scores > -3.0 * c_minus).all(axis=1))
     )
     return j_hat, j_prime, j_dprime
-
-
-def three_step_sets(data: ParametricMomentData, cfg: ThreeStepConfig):
-    """The three estimated column sets ``(J, J', J'')``.
-
-    ``J`` keeps columns whose score clears ``-2 c_boot(beta)`` (the usual
-    slack-inequality selection on the data itself).  ``J'`` and ``J''`` keep
-    columns whose *every* gradient score clears ``-c_grad(beta + phi)`` and
-    ``-3 c_grad(beta - phi)`` respectively; both gradient thresholds come
-    from one shared set of gradient bootstrap draws.  :func:`three_step_test`
-    reports the same sets in its decision's ``sets``.
-    """
-    return _sets(data, summarize(data.g), cfg, SeededStream(cfg.seed))
 
 
 def three_step_test(data: ParametricMomentData, cfg: ThreeStepConfig) -> TestDecision:
@@ -232,8 +202,5 @@ def three_step_test(data: ParametricMomentData, cfg: ThreeStepConfig) -> TestDec
     cv = _cutoff(cfg.rule, data.g, g_summary, cv_set if j_prime else frozenset(),
                  cfg.alpha, cfg.beta, cfg.replications, stream)
     keep = np.asarray(sorted(j_prime), dtype=np.intp) - 1
-    kept = MomentSummary(
-        means=g_summary.means[keep], sds=g_summary.sds[keep],
-        n=g_summary.n, degenerate=g_summary.degenerate[keep],
-    )
+    kept = MomentSummary(g_summary.means[keep], g_summary.sds[keep], g_summary.n)
     return decide(kept, cv, cv_set, f"3s-{cfg.scheme.lower()}", sets=sets)

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import kstest
 
 from momentineq import (
@@ -157,6 +160,48 @@ class TestOneStep:
         cfg = BootstrapConfig("MB", 400, SeededStream(2), alpha=0.05)
         scaled = gauss_sample * np.array([4.0, 0.5, 16.0])
         assert one_step_critical(gauss_sample, cfg) == one_step_critical(scaled, cfg)
+
+
+def _outcome(x, spec):
+    """The decision of ``run_test``, or the type of the error it raised."""
+    try:
+        return run_test(x, spec, include_diagnostics=True)
+    except DegenerateColumnError as exc:
+        return type(exc)
+
+
+FLOAT_RANGE_SPECS = [
+    CriticalValueSpec(m, alpha=0.05, beta=0.001, replications=100, seed=5)
+    for m in ("sn1", "mb1", "eb2")
+]
+
+
+class TestFloatRange:
+    # Integer entries keep every nonzero entry and mean of the rescaled data
+    # normal and every deviation exact, so a power of two changes no bit.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.tuples(st.integers(6, 24), st.integers(2, 4)).flatmap(
+            lambda shape: arrays(np.float64, shape, elements=st.integers(-1024, 1024))
+        ),
+        st.integers(-1000, 1000),
+    )
+    def test_power_of_two_scales_are_bitwise_invariant(self, x, e):
+        for spec in FLOAT_RANGE_SPECS:
+            assert _outcome(x * 2.0 ** e, spec) == _outcome(x, spec)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.floats(-300.0, 300.0))
+    def test_real_scales_keep_the_decision(self, seed, u):
+        x = np.random.default_rng(seed).normal(size=(40, 3)) + 0.3
+        scale = 10.0 ** u
+        for spec in FLOAT_RANGE_SPECS:
+            a, b = run_test(x, spec), run_test(x * scale, spec)
+            assert math.isclose(b.statistic, a.statistic, rel_tol=1e-12)
+            assert math.isclose(b.critical_value, a.critical_value, rel_tol=1e-12)
+            margin = 1e-12 * max(abs(a.statistic), abs(a.critical_value))
+            if abs(a.statistic - a.critical_value) > margin:
+                assert b.reject == a.reject
 
 
 class TestSelection:

@@ -96,6 +96,24 @@ class TestCmdTest:
         assert payload["reject"] is True
         assert payload["diagnostics"] is None
 
+    @pytest.mark.parametrize("scale", [2.0 ** -565, 2.0 ** 532], ids=["2^-565", "2^532"])
+    @pytest.mark.parametrize("method", ["sn1", "mb1"])
+    def test_rescaled_sample_keeps_the_unit_scale_decision(self, tmp_path, capsys,
+                                                           method, scale):
+        # squared deviations underflow at 2^-565 and overflow at 2^532
+        x = np.random.default_rng(11).normal(size=(50, 3)) + 0.35
+        out = []
+        for name, m in (("unit.csv", x), ("scaled.csv", x * scale)):
+            path = write_csv(tmp_path / name, m)
+            assert main(["test", "--input", path, "--method", method]) == 0
+            out.append(json.loads(capsys.readouterr().out))
+        unit, scaled = out
+        assert unit["reject"] is True
+        assert scaled["reject"] is True
+        for key in ("statistic", "critical_value"):
+            assert isinstance(scaled[key], float)
+            assert abs(scaled[key] - unit[key]) <= 1e-9 * abs(unit[key])
+
     def test_bad_flag_combination_is_usage_error(self, tmp_path, normal_csv, capsys):
         rc = main(["test", "--input", normal_csv, "--method", "sn2",
                    "--alpha", "0.05", "--beta", "0.4"])
@@ -236,7 +254,7 @@ class TestCmdThreestep:
         rng = np.random.default_rng(33)
         gp = write_csv(tmp_path / "g.csv", rng.normal(size=(60, 3)))
         vp = write_csv(tmp_path / "v.csv", rng.normal(size=(60, 6)) + 1.0)
-        calls = {"three_step_sets": 0, "_sets": 0}
+        calls = {"_sets": 0}
 
         def counted(name):
             original = getattr(threestep, name)
@@ -249,7 +267,7 @@ class TestCmdThreestep:
         for name in calls:
             monkeypatch.setattr(threestep, name, counted(name))
         assert main(["threestep", "--g", gp, "--v", vp, "--r", "2", "--seed", "4"]) == 0
-        assert calls == {"three_step_sets": 0, "_sets": 1}
+        assert calls == {"_sets": 1}
         payload = json.loads(capsys.readouterr().out)
         assert payload["J_prime"] == [1, 2, 3]
 

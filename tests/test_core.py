@@ -8,11 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from momentineq import (
     CriticalValueSpec,
-    DegenerateStatistic,
     InputError,
     as_sample_matrix,
     exceeds,
-    max_score_index,
     regularity_diagnostics,
     studentized_scores,
     summarize,
@@ -161,21 +159,16 @@ class TestStatistic:
         x = np.array([[0.0, 0.0], [2.0, 2.0], [0.0, 0.0], [2.0, 2.0]])
         s = summarize(x)
         assert max_statistic(s) == 2.0
-        assert max_score_index(s) == 1
 
     def test_degenerate_marker(self):
         s = summarize([[0.0], [0.0], [0.0]])
-        t = max_statistic(s)
-        assert isinstance(t, DegenerateStatistic)
-        assert t.bound == -np.inf
+        assert max_statistic(s) == -np.inf
         for c in (0.0, 1.0, 10.0):
             assert exceeds(s, c) is False
 
     def test_degenerate_positive_mean_bound_is_inf(self):
         s = summarize([[1.0, 0.0], [1.0, 1.0]])
-        t = max_statistic(s)
-        assert isinstance(t, DegenerateStatistic)
-        assert t.bound == np.inf
+        assert max_statistic(s) == np.inf
 
 
 class TestExceeds:
@@ -201,6 +194,19 @@ class TestExceeds:
             t = max_statistic(ss)
             for c in (-1.0, 0.0, 0.5, t, 2.0):
                 assert exceeds(ss, c) == (t > c)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        matrices(max_rows=8, max_cols=3),
+        st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0]), max_size=3),
+        st.floats(-20, 20, allow_nan=False),
+    )
+    def test_is_the_statistic_rule_with_constant_columns(self, x, constants, c):
+        x = np.column_stack([x] + [np.full(x.shape[0], k) for k in constants])
+        s = summarize(x)
+        assert exceeds(s, c) == (max_statistic(s) > c)
+        if any(k > 0 for k in constants):
+            assert max_statistic(s) == np.inf and exceeds(s, c)
 
     def test_rejects_non_finite_cutoff(self):
         s = summarize([[0.0], [1.0]])

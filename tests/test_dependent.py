@@ -12,7 +12,6 @@ from momentineq import (
     bmb_test,
     default_block_lengths,
     make_blocks,
-    nonstudentized_statistic,
     normal_quantile,
     summarize,
 )
@@ -51,19 +50,25 @@ class TestMakeBlocks:
         assert make_blocks(400, q, r).m == 400 // 9
 
 
+def bmb_statistic(x):
+    """The statistic ``bmb_test`` reports for ``x`` (row count at least 6)."""
+    x = np.asarray(x, dtype=np.float64)
+    plan = make_blocks(x.shape[0], 2, 1)
+    return bmb_test(x, plan, 0.05, 100, SeededStream(0)).statistic
+
+
 class TestNonstudentizedStatistic:
+    # dyadic data with n = 16, so sqrt(n) = 4 and every value is exact
     def test_hand_arithmetic(self):
-        s = summarize([[0, -1], [2, 1], [0, -1], [2, 1]])
-        assert nonstudentized_statistic(s) == 2.0
+        assert bmb_statistic(np.tile([[0, -1], [2, 1]], (8, 1))) == 4.0
 
     def test_zero_means(self):
-        s = summarize([[1.0, -1.0], [-1.0, 1.0]])
-        assert nonstudentized_statistic(s) == 0.0
+        assert bmb_statistic(np.tile([[1.0, -1.0], [-1.0, 1.0]], (8, 1))) == 0.0
 
     def test_not_scale_invariant(self):
-        x = np.array([[0.0], [2.0], [0.0], [2.0]])
-        a = nonstudentized_statistic(summarize(x))
-        b = nonstudentized_statistic(summarize(2.0 * x))
+        x = np.tile([[0.0], [2.0]], (8, 1))
+        a = bmb_statistic(x)
+        b = bmb_statistic(2.0 * x)
         assert b == 2.0 * a != a
 
 
@@ -127,8 +132,8 @@ class TestBmbCritical:
         b = bmb_critical(shifted, plan, 0.05, 300, SeededStream(3))
         assert a == b
         # the statistic follows the largest shifted mean
-        t0 = nonstudentized_statistic(summarize(x))
-        t1 = nonstudentized_statistic(summarize(shifted))
+        t0 = bmb_statistic(x)
+        t1 = bmb_statistic(shifted)
         third = math.sqrt(32) * (x[:, 2].mean() + 8.0)
         assert abs(t1 - third) <= 1e-9
         assert t1 > t0

@@ -1,8 +1,12 @@
 """Every exported name resolves, so a deleted function cannot linger in ``__all__``."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import momentineq
 
 MODULES = [
     "momentineq",
@@ -25,3 +29,43 @@ def test_all_names_resolve(name):
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
 
+
+
+DELETED = [
+    "DegenerateStatistic",
+    "max_score_index",
+    "nonstudentized_statistic",
+    "three_step_sets",
+    "gradient_summary",
+    "GradientSummary",
+]
+
+
+def test_deleted_names_are_gone():
+    left = [
+        (name, attr)
+        for name in MODULES
+        for attr in DELETED
+        if attr in getattr(importlib.import_module(name), "__all__", ())
+        or hasattr(importlib.import_module(name), attr)
+    ]
+    assert left == []
+
+
+def test_decisions_are_built_only_by_decide():
+    builders = []
+    for path in sorted(Path(momentineq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # ast.walk visits outer definitions first, so the innermost one wins
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[id(node)] = fn.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "TestDecision":
+                    builders.append((path.stem, owner.get(id(node), "<module>")))
+    assert builders == [("core", "decide")]

@@ -31,9 +31,7 @@ def summary_with_scores(scores, n=4):
     scores = np.asarray(scores, dtype=np.float64)
     means = scores / math.sqrt(n)
     sds = np.ones_like(means)
-    return MomentSummary(
-        means=means, sds=sds, n=n, degenerate=np.zeros(len(scores), dtype=bool)
-    )
+    return MomentSummary(means=means, sds=sds, n=n)
 
 
 def sn2(scores, beta=0.001, n=400):
@@ -109,9 +107,7 @@ class TestSelection:
     def test_degenerate_columns_follow_mean_sign(self):
         means = np.array([1.0, -1.0, 0.0])
         sds = np.array([0.0, 0.0, 0.0])
-        s = MomentSummary(
-            means=means, sds=sds, n=50, degenerate=np.ones(3, dtype=bool)
-        )
+        s = MomentSummary(means=means, sds=sds, n=50)
         assert sn_select(s, 0.01) == frozenset({1, 3})
 
     def test_scale_invariance(self):

@@ -14,12 +14,11 @@ from momentineq import (
     SeededStream,
     ThreeStepConfig,
     gradient_bootstrap_critical,
-    gradient_summary,
     summarize,
-    three_step_sets,
     three_step_test,
     two_step_critical,
 )
+from momentineq.threestep import _flat_gradient_summary, _sets
 
 
 def matrix_with_scores(scores, n=400):
@@ -65,31 +64,33 @@ class TestGradientSummary:
         data = ParametricMomentData(
             g=rng.normal(size=(10, 2)), v=rng.normal(size=(10, 2, 3))
         )
-        gs = gradient_summary(data)
+        flat = _flat_gradient_summary(data)
+        means, sds = flat.means.reshape(2, 3), flat.sds.reshape(2, 3)
         for j in range(2):
             for l in range(3):
                 col = data.v[:, j, l]
                 mu = sum(col) / 10
                 sd = (sum((c - mu) ** 2 for c in col) / 10) ** 0.5
-                assert abs(gs.means[j, l] - mu) <= 1e-12
-                assert abs(gs.sds[j, l] - sd) <= 1e-12
+                assert abs(means[j, l] - mu) <= 1e-12
+                assert abs(sds[j, l] - sd) <= 1e-12
 
     def test_constant_gradient_column_named(self):
         rng = np.random.default_rng(6)
         v = rng.normal(size=(12, 3, 2))
         v[:, 1, 1] = 7.0
         data = ParametricMomentData(g=rng.normal(size=(12, 3)), v=v)
+        cfg = ThreeStepConfig(alpha=0.05, replications=100, seed=6)
         with pytest.raises(DegenerateColumnError, match=r"j=2, l=2"):
-            gradient_summary(data)
+            three_step_test(data, cfg)
 
     def test_r_equal_one_reduces_to_summarize(self):
         rng = np.random.default_rng(7)
         v = rng.normal(size=(15, 4, 1))
         data = ParametricMomentData(g=rng.normal(size=(15, 4)), v=v)
-        gs = gradient_summary(data)
+        flat = _flat_gradient_summary(data)
         s = summarize(v[:, :, 0])
-        np.testing.assert_array_equal(gs.means[:, 0], s.means)
-        np.testing.assert_array_equal(gs.sds[:, 0], s.sds)
+        np.testing.assert_array_equal(flat.means, s.means)
+        np.testing.assert_array_equal(flat.sds, s.sds)
 
 
 class TestGradientBootstrap:
@@ -130,7 +131,7 @@ class TestSets:
             [0.2, -0.1, 0.5], np.full((3, 2), 30.0)
         )
         cfg = ThreeStepConfig(alpha=0.05, beta=0.001, replications=300, seed=12)
-        j_hat, j_prime, j_dprime = three_step_sets(data, cfg)
+        j_hat, j_prime, j_dprime = three_step_test(data, cfg).sets
         assert j_prime == frozenset({1, 2, 3})
         assert j_dprime == frozenset({1, 2, 3})
         assert j_hat == frozenset({1, 2, 3})
@@ -140,7 +141,7 @@ class TestSets:
         grads[1, 0] = -30.0  # one weakly informative coordinate
         data = data_with_scores([0.2, 0.1, 0.5], grads)
         cfg = ThreeStepConfig(alpha=0.05, beta=0.001, replications=300, seed=13)
-        _, j_prime, j_dprime = three_step_sets(data, cfg)
+        _, j_prime, j_dprime = three_step_test(data, cfg).sets
         assert j_prime == frozenset({1, 3})
         assert j_dprime == frozenset({1, 3})
 
@@ -150,7 +151,6 @@ class TestSets:
         data = data_with_scores([0.0, 0.0, 0.0], grads)
         # recompute the shared-draw thresholds to place the -5 correctly
         from momentineq.bootstrap import _quantile, _values
-        from momentineq.threestep import _flat_gradient_summary
 
         flat = _flat_gradient_summary(data)
         phi = cfg.resolve_phi(data.n)
@@ -162,7 +162,7 @@ class TestSets:
         c_plus = _quantile(vals, 1 - (cfg.beta + phi))
         c_minus = _quantile(vals, 1 - (cfg.beta - phi))
         assert -c_plus > -5.0 > -3.0 * c_minus  # the crafted gap
-        _, j_prime, j_dprime = three_step_sets(data, cfg)
+        _, j_prime, j_dprime = three_step_test(data, cfg).sets
         assert j_prime == frozenset({1, 3})
         assert j_dprime == frozenset({1, 2, 3})
 
@@ -174,7 +174,7 @@ class TestSets:
                 v=rng.normal(size=(60, 5, 2)) + rng.normal(size=(1, 5, 2)),
             )
             cfg = ThreeStepConfig(alpha=0.05, beta=0.005, replications=300, seed=seed)
-            _, j_prime, j_dprime = three_step_sets(data, cfg)
+            _, j_prime, j_dprime = three_step_test(data, cfg).sets
             assert j_prime <= j_dprime
 
     def test_phi_moves_the_sets_monotonically(self):
@@ -185,8 +185,8 @@ class TestSets:
         )
         lo = ThreeStepConfig(alpha=0.05, beta=0.01, phi=0.002, replications=400, seed=5)
         hi = ThreeStepConfig(alpha=0.05, beta=0.01, phi=0.008, replications=400, seed=5)
-        _, jp_lo, jd_lo = three_step_sets(data, lo)
-        _, jp_hi, jd_hi = three_step_sets(data, hi)
+        _, jp_lo, jd_lo = three_step_test(data, lo).sets
+        _, jp_hi, jd_hi = three_step_test(data, hi).sets
         assert jp_hi <= jp_lo
         assert jd_lo <= jd_hi
 
@@ -265,6 +265,6 @@ class TestThreeStepTest:
         )
         cfg = ThreeStepConfig(alpha=0.05, beta=0.005, replications=300, seed=24)
         d = three_step_test(data, cfg)
-        j_hat, j_prime, j_dprime = three_step_sets(data, cfg)
+        j_hat, j_prime, j_dprime = _sets(data, summarize(data.g), cfg, SeededStream(24))
         assert d.sets == (j_hat, j_prime, j_dprime)
         assert d.selected == tuple(sorted(j_hat & j_dprime))
