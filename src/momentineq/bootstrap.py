@@ -40,10 +40,10 @@ from .core import (
     MomentSummary,
     Rule,
     TestDecision,
+    _diagnostics,
     as_sample_matrix,
     check_sizes,
     decide,
-    regularity_diagnostics,
     summarize,
 )
 from .errors import DegenerateColumnError
@@ -343,5 +343,5 @@ def run_test(sample, spec: CriticalValueSpec, *, stream: SeededStream | None = N
     cv, selected = _critical(rule, x, s, spec.alpha, spec.beta, spec.replications, stream)
     diagnostics = None
     if include_diagnostics and not s.any_degenerate():
-        diagnostics = regularity_diagnostics(x)
+        diagnostics = _diagnostics(x, s)
     return decide(s, cv, selected, spec, diagnostics=diagnostics)

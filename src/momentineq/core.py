@@ -236,6 +236,11 @@ def regularity_diagnostics(sample) -> RegularityDiagnostics:
         raise DegenerateColumnError(
             s.degenerate_columns(), context="regularity diagnostics undefined"
         )
+    return _diagnostics(x, s)
+
+
+def _diagnostics(x: np.ndarray, s: MomentSummary) -> RegularityDiagnostics:
+    """The diagnostics of a validated sample ``x`` from its summary ``s`` (no zero sds)."""
     z = (x - s.means) / s.sds
     z2 = z * z
     m3 = float(np.mean(np.abs(z) ** 3, axis=0).max() ** (1 / 3))

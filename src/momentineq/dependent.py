@@ -94,14 +94,24 @@ def bmb_critical(sample, plan: BlockPlan, alpha: float, B: int,
     the critical value is the ``1 - alpha`` empirical quantile of ``B``
     replications.
     """
-    B = int(B)
-    check_sizes(alpha, replications=B)
+    x = _checked(sample, plan, alpha, B)
+    return _bmb_cutoff(x, summarize(x), plan, alpha, int(B), stream)
+
+
+def _checked(sample, plan: BlockPlan, alpha: float, B: int) -> np.ndarray:
+    """The sample matrix, once ``alpha``, ``B`` and the plan's ``n`` are checked."""
+    check_sizes(alpha, replications=int(B))
     x = as_sample_matrix(sample)
     if plan.n != x.shape[0]:
         raise ValueError(
             f"block plan is for n={plan.n} but sample has n={x.shape[0]} rows"
         )
-    s = summarize(x)
+    return x
+
+
+def _bmb_cutoff(x: np.ndarray, s: MomentSummary, plan: BlockPlan, alpha: float,
+                B: int, stream: SeededStream) -> float:
+    """:func:`bmb_critical` of a checked sample ``x`` with its summary ``s``."""
     xc = x - s.means
     block_sums = np.stack([xc[a:b].sum(axis=0) for a, b in plan.large_blocks])
     scale = 1.0 / math.sqrt(plan.m * plan.q)
@@ -118,7 +128,7 @@ def bmb_critical(sample, plan: BlockPlan, alpha: float, B: int,
 def bmb_test(sample, plan: BlockPlan, alpha: float, B: int,
              stream: SeededStream) -> TestDecision:
     """Dependent-data test: reject when ``max_j sqrt(n) mean_j`` exceeds the BMB cutoff."""
-    x = as_sample_matrix(sample)
+    x = _checked(sample, plan, alpha, B)
     s = summarize(x)
-    cv = bmb_critical(x, plan, alpha, B, stream)
+    cv = _bmb_cutoff(x, s, plan, alpha, int(B), stream)
     return decide(MomentSummary(s.means, np.ones(s.p), s.n), cv, range(1, s.p + 1), "bmb")

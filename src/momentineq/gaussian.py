@@ -115,7 +115,12 @@ def open_uniform(gen: np.random.Generator, size) -> np.ndarray:
     unreachable and ``ndtri`` stays finite.
     """
     k = gen.integers(0, 1 << 52, size=size, dtype=np.int64)
-    return (2 * k + 1) * _U53
+    # (2k + 1) * 2^-53 in place: 2k + 1 < 2^53 converts to float exactly
+    k <<= 1
+    k |= 1
+    u = k.astype(np.float64)
+    u *= _U53
+    return u
 
 
 def standard_normal_draws(stream: SeededStream, count: int) -> np.ndarray:

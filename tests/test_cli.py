@@ -130,6 +130,27 @@ class TestCmdTest:
         assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["test", "--method", "mb1"],
+    ["bmb", "--reps", "200"],
+])
+def test_each_command_summarizes_once(tmp_path, monkeypatch, argv):
+    import momentineq.core as core
+
+    path = write_csv(tmp_path / "x.csv", np.random.default_rng(8).normal(size=(120, 4)))
+    calls = []
+    original = core.summarize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name in ("core", "bootstrap", "dependent"):
+        monkeypatch.setattr(f"momentineq.{name}.summarize", counted)
+    assert main(argv[:1] + ["--input", path] + argv[1:]) == 0
+    assert len(calls) == 1
+
+
 class TestCmdMc:
     def test_writes_csv_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"

@@ -52,8 +52,8 @@ def test_deleted_names_are_gone():
     assert left == []
 
 
-def test_decisions_are_built_only_by_decide():
-    builders = []
+def package_sources():
+    """``(path, syntax tree, innermost function name by node id)`` per package module."""
     for path in sorted(Path(momentineq.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         # ast.walk visits outer definitions first, so the innermost one wins
@@ -62,6 +62,12 @@ def test_decisions_are_built_only_by_decide():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(fn):
                     owner[id(node)] = fn.name
+        yield path, tree, owner
+
+
+def test_decisions_are_built_only_by_decide():
+    builders = []
+    for path, tree, owner in package_sources():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
@@ -69,3 +75,24 @@ def test_decisions_are_built_only_by_decide():
                 if name == "TestDecision":
                     builders.append((path.stem, owner.get(id(node), "<module>")))
     assert builders == [("core", "decide")]
+
+
+def test_blas_threads_are_set_only_by_the_pool_pin():
+    users = set()
+    for path, tree, owner in package_sources():
+        docstrings = {
+            id(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and id(node) not in docstrings:
+                name = node.value
+            else:
+                continue
+            if isinstance(name, str) and "num_threads" in name.lower():
+                users.add((path.stem, owner.get(id(node), "<module>")))
+    assert users == {("simulate", "_openblas")}

@@ -140,3 +140,11 @@ class TestStandardNormalDraws:
         k = u * 2.0 ** 53
         assert np.all(k == np.round(k))
         assert np.all(np.asarray(k, dtype=np.int64) % 2 == 1)
+
+    @pytest.mark.parametrize("size", [(1000, 400), (7, 3), 5])
+    def test_uniforms_match_the_closed_form_bitwise(self, size):
+        k = SeededStream(9).generator().integers(0, 1 << 52, size=size, dtype=np.int64)
+        u = open_uniform(SeededStream(9).generator(), size)
+        expected = (2 * k + 1) * 0.5 ** 53
+        assert u.dtype == np.float64 and u.shape == expected.shape
+        assert u.tobytes() == expected.tobytes()

@@ -1,5 +1,10 @@
 """Design data generators and the Monte Carlo harness."""
 
+import sys
+import threading
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,7 @@ from momentineq import (
     power_sweep,
     run_mc,
 )
+from momentineq import simulate
 from momentineq.simulate import _innovations
 
 
@@ -202,3 +208,123 @@ class TestPowerSweep:
         mc = McConfig(sims=10, methods=("sn1",), seed=1)
         with pytest.raises(ValueError):
             power_sweep(50, 3, 0.0, [-0.1, 0.2], mc)
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS thread count, set to 2 for the test and restored after it."""
+    api = simulate._openblas()
+    if api is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get, put = api
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def blas_counts(monkeypatch, get):
+    """The BLAS thread count seen by every ``run_test`` call of the harness."""
+    seen = []
+    original = simulate.run_test
+
+    def recorded(*args, **kwargs):
+        seen.append(get())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "run_test", recorded)
+    return seen
+
+
+class TestBlasPin:
+    design = DesignSpec(1, 40, 3, 0.0, "uniform")
+
+    def test_pooled_run_uses_one_blas_thread_and_restores(self, blas, monkeypatch):
+        seen = blas_counts(monkeypatch, blas)
+        run_mc(self.design, McConfig(sims=4, methods=("sn1", "mb1"), threads=2))
+        assert seen and set(seen) == {1}
+        assert blas() == 2
+
+    @pytest.mark.parametrize("threads", [None, 1])
+    def test_serial_run_leaves_blas_alone(self, blas, monkeypatch, threads):
+        seen = blas_counts(monkeypatch, blas)
+        run_mc(self.design, McConfig(sims=3, methods=("sn1",), threads=threads))
+        assert set(seen) == {2}
+
+    def test_restored_after_a_replication_raises(self, blas, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("replication failed")
+
+        monkeypatch.setattr(simulate, "run_test", failing)
+        with pytest.raises(RuntimeError, match="replication failed"):
+            run_mc(self.design, McConfig(sims=4, methods=("sn1",), threads=2))
+        assert blas() == 2
+
+    def test_restored_when_the_last_of_two_concurrent_runs_ends(self, blas, monkeypatch):
+        started = {seed: threading.Event() for seed in (1, 2)}
+        release = {seed: threading.Event() for seed in (1, 2)}
+
+        def held(x, spec, stream):
+            started[stream.master_seed].set()
+            release[stream.master_seed].wait(30)
+            return SimpleNamespace(reject=False)
+
+        monkeypatch.setattr(simulate, "run_test", held)
+        runs = {
+            seed: threading.Thread(target=run_mc, args=(
+                self.design, McConfig(sims=1, methods=("sn1",), seed=seed, threads=2)))
+            for seed in (1, 2)
+        }
+        try:
+            for seed in (1, 2):
+                runs[seed].start()
+                assert started[seed].wait(30)
+            assert blas() == 1
+            release[1].set()
+            runs[1].join(30)
+            assert not runs[1].is_alive()
+            assert blas() == 1
+            release[2].set()
+            runs[2].join(30)
+            assert not runs[2].is_alive()
+            assert blas() == 2
+        finally:
+            for event in release.values():
+                event.set()
+
+    def test_concurrent_entries_restore_once(self, blas):
+        inside = []
+        start = threading.Barrier(8)
+
+        def enter_and_leave():
+            start.wait(30)
+            for _ in range(1000):
+                with simulate._one_blas_thread:
+                    time.sleep(0)  # let the other threads enter and leave
+                    inside.append(blas())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(60)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(inside) == 8 * 1000 and set(inside) == {1}
+        assert blas() == 2
+
+    def test_does_nothing_without_a_bundled_openblas(self, blas, monkeypatch):
+        monkeypatch.setattr(simulate, "_openblas", lambda: None)
+        seen = blas_counts(monkeypatch, blas)
+        run_mc(self.design, McConfig(sims=4, methods=("sn1", "mb1"), threads=2))
+        assert seen and set(seen) == {2}
+
+    def test_power_sweep_runs_pinned(self, blas, monkeypatch):
+        seen = blas_counts(monkeypatch, blas)
+        power_sweep(40, 3, 0.0, [0.0, 0.5], McConfig(sims=3, methods=("sn1",), threads=2))
+        assert seen and set(seen) == {1}
+        assert blas() == 2
