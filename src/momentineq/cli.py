@@ -23,7 +23,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -66,36 +68,70 @@ def _jsonable(x):
 
 
 def read_matrix(path, header: bool = False) -> np.ndarray:
-    """Read an n x p numeric CSV, reporting line and column on failure."""
-    rows = []
+    """Read an n x p numeric CSV, reporting line and column on failure.
+
+    numpy's C reader parses the common case.  A file it refuses or finds
+    empty, and any input that cannot be rewound (a pipe), is read by the row
+    loop ``_read_rows``, which accepts every field ``float`` reads.  The two
+    give bit-equal matrices wherever both accept a file.
+    """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if header and not rows and lineno == 1:
-                header = False  # consume exactly one header row
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                bad = next(
-                    i for i, v in enumerate(row, start=1)
-                    if not _is_float(v)
-                )
-                raise InputError(
-                    f"{path}: line {lineno}, column {bad}: not a number"
-                ) from exc
+        x = _loadtxt(fh, header) if fh.seekable() else None
+        if x is None:
+            x = _read_rows(fh, path, header)
+    return as_sample_matrix(x)
+
+
+def _loadtxt(fh, header: bool):
+    """The matrix from numpy's C reader, or None (and ``fh`` rewound) when it
+    refuses the file or finds no rows."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            x = np.loadtxt(
+                fh, dtype=np.float64, comments=None, delimiter=",",
+                skiprows=int(header), ndmin=2,
+            )
+    except ValueError:
+        x = None
+    if x is None or x.size == 0:
+        fh.seek(0)
+        return None
+    return x
+
+
+def _read_rows(fh, path, header: bool) -> np.ndarray:
+    """``csv.reader`` rows of ``float`` fields, skipping blank lines."""
+    rows = []
+    reader = csv.reader(fh)
+    for lineno, row in enumerate(reader, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if header and not rows and lineno == 1:
+            header = False  # consume exactly one header row
+            continue
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            bad = next(
+                i for i, v in enumerate(row, start=1)
+                if not _is_float(v)
+            )
+            raise InputError(
+                f"{path}: line {lineno}, column {bad}: not a number"
+            ) from exc
     if not rows:
         raise InputError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         raise InputError(f"{path}: rows have unequal lengths {sorted(widths)}")
-    return as_sample_matrix(np.asarray(rows, dtype=np.float64))
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _is_float(v: str) -> bool:
@@ -238,8 +274,6 @@ def _sidecar_path(out: str) -> str:
 
 
 def _load_grid(grid_dir):
-    import os
-
     grid_csv = os.path.join(grid_dir, "grid.csv")
     try:
         fh = open(grid_csv, newline="")

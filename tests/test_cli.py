@@ -3,15 +3,22 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momentineq
-from momentineq import sn_one_step
-from momentineq.cli import main
+from momentineq import cli, sn_one_step
+from momentineq.cli import main, read_matrix
+from momentineq.core import as_sample_matrix
+from momentineq.errors import InputError
 
 
 def write_csv(path, matrix, header=None):
@@ -357,3 +364,197 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["method"] == "sn1"
+
+
+def reference_read_matrix(path, header=False):
+    """The csv.reader + float() loop that read every matrix before numpy's C
+    reader took the common case; read_matrix must agree with it exactly."""
+    rows = []
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        for lineno, row in enumerate(reader, start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if header and not rows and lineno == 1:
+                header = False  # consume exactly one header row
+                continue
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                bad = next(
+                    i for i, v in enumerate(row, start=1)
+                    if not _is_float(v)
+                )
+                raise InputError(
+                    f"{path}: line {lineno}, column {bad}: not a number"
+                ) from exc
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    widths = {len(r) for r in rows}
+    if len(widths) > 1:
+        raise InputError(f"{path}: rows have unequal lengths {sorted(widths)}")
+    return as_sample_matrix(np.asarray(rows, dtype=np.float64))
+
+
+def _is_float(v):
+    try:
+        float(v)
+        return True
+    except ValueError:
+        return False
+
+
+def outcome(read, path, header):
+    """Bytes, dtype and shape of the matrix read, or the error type and message."""
+    try:
+        x = read(path, header)
+    except Exception as exc:  # the oracle's own exceptions are the expectation
+        return type(exc), str(exc)
+    return x.dtype, x.shape, x.tobytes()
+
+
+def write_text(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return str(path)
+
+
+EDGE_FILES = {
+    "plain": "1,2\n3,4\n",
+    "cr": "1,2\r3,4\r",
+    "crlf": "1,2\r\n3,4\r\n",
+    "mixed-newlines": "1,2\r\n3,4\n5,6\r",
+    "no-final-newline": "1,2\n3,4",
+    "blank-lines": "1,2\n\n3,4\n\n",
+    "blank-first-line": "\n1,2\n3,4\n",
+    "whitespace-line": "1,2\n  \t\n3,4\n",
+    "whitespace-line-one-column": "1\n \n3\n",
+    "form-feed-line": "1,2\n\x0c\n3,4\n",
+    "quoted": '"1","2"\n3,4\n',
+    "quoted-comma": '"1,5",2\n3,4\n',
+    "hash-line": "# note\n1,2\n3,4\n",
+    "hash-inline": "1,2 # note\n3,4\n",
+    "trailing-comma": "1,2,\n3,4,\n",
+    "empty-field": "1,,2\n3,4,5\n",
+    "unequal-rows": "1,2\n3,4,5\n",
+    "empty": "",
+    "header-only": "a,b\n",
+    "blank-only": "\n\n \n",
+    "text-header": "a,b\n1,2\n3,4\n",
+    "blank-then-header": "\na,b\n1,2\n3,4\n",
+    "quoted-newline-header": '"a\nb",c\n1,2\n3,4\n',
+    "not-a-number": "1,2\n3,oops\n",
+    "padded": " 1 , 2 \n3\t,4\n",
+    "nbsp": "\xa01,2\n3,4\xa0\n",
+    "underscores": "1_0,2\n3,4\n",
+    "non-ascii-digits": "\u0661,2\n3,\u0664\n",
+    "signs-and-dots": "+1e5,-0\n.5,5.\n",
+    "nan": "nan,1\n2,3\n",
+    "inf": "1,-Infinity\n2,3\n",
+    "overflow": "1e309,1\n2,3\n",
+    "subnormals": "5e-324,2.2250738585072014e-308\n4.9e-324,-1e-310\n",
+    "largest": "1.7976931348623157e308,-1.7976931348623157e308\n1,2\n",
+    "seventeen-digits": "0.10000000000000001,2.9999999999999996\n1e-5,123456789012345678\n",
+    "single-row": "1,2,3\n",
+    "single-column": "1\n2\n3\n",
+    "single-value": "1\n",
+}
+
+
+@pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_read_matrix_matches_the_row_loop(tmp_path, name, header):
+    path = write_text(tmp_path / "m.csv", EDGE_FILES[name])
+    assert outcome(read_matrix, path, header) == outcome(reference_read_matrix, path, header)
+
+
+TOKENS = st.one_of(
+    st.sampled_from([
+        "0", "1", "-2.5", "1e309", "5e-324", "1.7976931348623157e308", "nan",
+        "-inf", "Infinity", " 3 ", "\xa04", "1_0", "\u0661", '"7"', "", "#",
+        "x", "1e", ".", "+.5", "0x10",
+    ]),
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+)
+LINES = st.one_of(
+    st.lists(TOKENS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", " ", "a,b"]),
+)
+TEXTS = st.tuples(
+    st.lists(LINES, max_size=6),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),
+).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] else ""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=TEXTS, header=st.booleans())
+def test_read_matrix_matches_the_row_loop_on_generated_csv(tmp_path_factory, text, header):
+    path = write_text(tmp_path_factory.getbasetemp() / "generated.csv", text)
+    assert outcome(read_matrix, path, header) == outcome(reference_read_matrix, path, header)
+
+
+class TestReadMatrixFastPath:
+    @pytest.fixture(autouse=True)
+    def no_row_loop(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ordinary file read by the row loop")
+
+        monkeypatch.setattr(cli, "_read_rows", refuse)
+
+    @pytest.fixture
+    def matrix(self):
+        x = np.random.default_rng(12).normal(size=(40, 300)) * 10.0 ** np.arange(-150, 150)
+        x[0, :3] = [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+        return x
+
+    def test_savetxt_file(self, tmp_path, matrix):
+        path = tmp_path / "m.csv"
+        np.savetxt(path, matrix, delimiter=",", fmt="%.17g")
+        assert read_matrix(str(path)).tobytes() == matrix.tobytes()
+
+    def test_repr_file(self, tmp_path, matrix):
+        path = write_csv(tmp_path / "m.csv", matrix)
+        assert read_matrix(path).tobytes() == matrix.tobytes()
+
+    def test_header_file(self, tmp_path, matrix):
+        path = write_csv(tmp_path / "m.csv", matrix, header=[f"c{j}" for j in range(300)])
+        x = read_matrix(path, header=True)
+        assert x.shape == matrix.shape and x.tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["empty", "blank-only"])
+def test_no_rows_is_an_input_error_without_warnings(tmp_path, text):
+    path = write_text(tmp_path / "m.csv", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="no data rows"):
+            read_matrix(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("text", ["1,2\n3,4\n", "1,2\n3,oops\n"], ids=["good", "bad"])
+def test_pipe_input_is_read_by_the_row_loop(tmp_path, text):
+    # a pipe cannot be rewound, so it never tries numpy's reader first
+    pipe = str(tmp_path / "pipe.csv")
+    os.mkfifo(pipe)
+    twin = write_text(tmp_path / "file.csv", text)
+
+    def feed():
+        with open(pipe, "w", newline="") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        got = outcome(read_matrix, pipe, False)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    expected = outcome(reference_read_matrix, twin, False)
+    assert got == tuple(v.replace(twin, pipe) if isinstance(v, str) else v for v in expected)

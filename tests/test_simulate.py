@@ -1,5 +1,6 @@
 """Design data generators and the Monte Carlo harness."""
 
+import math
 import sys
 import threading
 import time
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from momentineq import (
     DesignSpec,
@@ -18,6 +20,7 @@ from momentineq import (
     run_mc,
 )
 from momentineq import simulate
+from momentineq.gaussian import open_uniform
 from momentineq.simulate import _innovations
 
 
@@ -78,6 +81,15 @@ class TestInnovations:
         e = _innovations(gen, 1000, 200, "t4")
         # normalized t(4) exceeds 3 far more often than a normal would
         assert (np.abs(e) > 3.0).mean() > 0.005
+
+    @pytest.mark.parametrize("shape", [(400, 1000), (400, 200), (7, 3)])
+    def test_t4_matches_the_closed_form_bitwise(self, shape):
+        gen = SeededStream(9).generator()
+        z, u1, u2 = (open_uniform(gen, shape) for _ in range(3))
+        expected = math.sqrt(2.0) * ndtri(z) / np.sqrt(-2.0 * (np.log(u1) + np.log(u2)))
+        e = _innovations(SeededStream(9).generator(), *shape, "t4")
+        assert e.dtype == np.float64 and e.shape == shape
+        assert e.tobytes() == expected.tobytes()
 
 
 class TestDesignSpec:
