@@ -31,26 +31,19 @@ from .errors import (
 from .gaussian import SeededStream, normal_cdf, normal_quantile, standard_normal_draws
 from .sn import sn_one_step, sn_select
 from .bootstrap import (
-    BootstrapConfig,
     BootstrapDraws,
     eb_draws,
     empirical_quantile,
-    hybrid_critical,
     mb_draws,
-    one_step_critical,
     run_test,
-    select_set,
-    two_step_critical,
 )
 from .threestep import (
     ParametricMomentData,
     ThreeStepConfig,
-    gradient_bootstrap_critical,
     three_step_test,
 )
 from .dependent import (
     BlockPlan,
-    bmb_critical,
     bmb_test,
     default_block_lengths,
     make_blocks,
@@ -67,7 +60,6 @@ from .simulate import (
     McConfig,
     McResult,
     PowerCurve,
-    covariance_factor,
     draw_sample,
     power_sweep,
     run_mc,
@@ -96,22 +88,15 @@ __all__ = [
     "standard_normal_draws",
     "sn_one_step",
     "sn_select",
-    "BootstrapConfig",
     "BootstrapDraws",
     "eb_draws",
     "empirical_quantile",
-    "hybrid_critical",
     "mb_draws",
-    "one_step_critical",
     "run_test",
-    "select_set",
-    "two_step_critical",
     "ParametricMomentData",
     "ThreeStepConfig",
-    "gradient_bootstrap_critical",
     "three_step_test",
     "BlockPlan",
-    "bmb_critical",
     "bmb_test",
     "default_block_lengths",
     "make_blocks",
@@ -124,7 +109,6 @@ __all__ = [
     "McConfig",
     "McResult",
     "PowerCurve",
-    "covariance_factor",
     "draw_sample",
     "power_sweep",
     "run_mc",

@@ -14,11 +14,11 @@ columns, the SN threshold ``-2 c_SN(beta)`` or the bootstrap threshold
 EB), and the multiplier ``m`` in the level ``1 - alpha + m beta`` (the SN
 formula uses the tail ``(alpha - m beta) / k`` over ``k`` selected columns).
 :func:`_critical` runs that pipeline for :func:`run_test`, the
-:class:`BootstrapConfig` entry points, the approximate-data test and, with
-``m = 4``, the three-step test.
+approximate-data test and, with ``m = 4``, the three-step test; each
+critical value is read off the decision they return.
 
 Stream discipline: within one test, selection draws and critical-value draws
-come from disjoint substreams (``select`` vs ``crit`` children of the config
+come from disjoint substreams (``select`` vs ``crit`` children of the test's
 stream), so each quantile is computed from fresh randomness and the whole
 pipeline is reproducible.  Replication ``b`` consumes the ``b``-th row of the
 run's multiplier (or index) block, which makes every draw independent of the
@@ -42,7 +42,6 @@ from .core import (
     TestDecision,
     _diagnostics,
     as_sample_matrix,
-    check_sizes,
     decide,
     summarize,
 )
@@ -51,15 +50,10 @@ from .gaussian import SeededStream, open_uniform
 from .sn import _sn_from_tail, sn_select, threshold_select
 
 __all__ = [
-    "BootstrapConfig",
     "BootstrapDraws",
     "mb_draws",
     "eb_draws",
     "empirical_quantile",
-    "one_step_critical",
-    "select_set",
-    "two_step_critical",
-    "hybrid_critical",
     "run_test",
 ]
 
@@ -76,23 +70,6 @@ _CHUNK_SCALARS = 4_000_000
 # the exact invariants (duplication, permutation, restriction to a subset)
 # rely on bit for bit.
 _COL_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class BootstrapConfig:
-    """Scheme, replication count, stream, and sizes for one bootstrap test."""
-
-    scheme: str
-    replications: int
-    stream: SeededStream
-    alpha: float = 0.05
-    beta: float = 0.001
-
-    def __post_init__(self):
-        object.__setattr__(self, "scheme", str(self.scheme).upper())
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be MB or EB, got {self.scheme!r}")
-        check_sizes(self.alpha, self.beta, replications=self.replications)
 
 
 @dataclass(frozen=True)
@@ -267,58 +244,6 @@ def _critical(rule: Rule, x, s: MomentSummary, alpha, beta, B, stream):
     """
     selected = _select(rule, x, s, beta, B, stream)
     return _cutoff(rule, x, s, selected, alpha, beta, B, stream), selected
-
-
-def _configured(sample, cfg: BootstrapConfig, method: str, beta: float):
-    """Rule, data and summary for a table method run under ``cfg``.
-
-    ``beta`` is checked against the method's cap here, at call time, because
-    one config serves methods with different caps.
-    """
-    rule = METHODS[method]
-    if rule.cap:
-        check_sizes(cfg.alpha, beta, cap=rule.cap)
-    x = as_sample_matrix(sample)
-    return rule, x, summarize(x)
-
-
-def one_step_critical(sample, cfg: BootstrapConfig) -> float:
-    """One-step bootstrap critical value: the ``1 - alpha`` quantile over all columns."""
-    rule, x, s = _configured(sample, cfg, cfg.scheme.lower() + "1", cfg.beta)
-    return _critical(rule, x, s, cfg.alpha, cfg.beta, cfg.replications, cfg.stream)[0]
-
-
-def select_set(sample, cfg: BootstrapConfig) -> frozenset[int]:
-    """Bootstrap inequality selection: columns with score above ``-2 c_boot(beta)``.
-
-    The threshold quantile is computed at size ``cfg.beta`` on a dedicated
-    ``select`` substream, disjoint from the critical-value draws.  Requires
-    ``beta < alpha / 2``.
-    """
-    rule, x, s = _configured(sample, cfg, cfg.scheme.lower() + "2", cfg.beta)
-    return _select(rule, x, s, cfg.beta, cfg.replications, cfg.stream)
-
-
-def two_step_critical(sample, cfg: BootstrapConfig) -> float:
-    """Two-step bootstrap critical value.
-
-    Selects columns at size ``cfg.beta``, then takes the
-    ``1 - alpha + 2 beta`` quantile of draws restricted to the selected set
-    (0 when the selection is empty).
-    """
-    rule, x, s = _configured(sample, cfg, cfg.scheme.lower() + "2", cfg.beta)
-    return _critical(rule, x, s, cfg.alpha, cfg.beta, cfg.replications, cfg.stream)[0]
-
-
-def hybrid_critical(sample, cfg: BootstrapConfig, beta: float) -> float:
-    """Hybrid critical value: analytic selection, bootstrap quantile.
-
-    Uses the cheap self-normalized rule at size ``beta`` to select columns,
-    then the ``1 - alpha + 2 beta`` bootstrap quantile over that set.
-    Requires ``beta <= alpha / 3``.
-    """
-    rule, x, s = _configured(sample, cfg, "hyb-" + cfg.scheme.lower(), beta)
-    return _critical(rule, x, s, cfg.alpha, beta, cfg.replications, cfg.stream)[0]
 
 
 def run_test(sample, spec: CriticalValueSpec, *, stream: SeededStream | None = None,

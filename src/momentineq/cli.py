@@ -14,8 +14,9 @@ header row (``--header``); matrices are n rows by p columns.  JSON output has
 a fixed key order and prints numbers with 12 significant digits; non-finite
 numbers appear as the strings "inf", "-inf", or "nan".
 
-Exit status: 0 success, 2 input error, 3 statistical precondition violation,
-64 usage error.
+Exit status: 0 success, 2 input error (including a file that is not UTF-8
+text), 3 statistical precondition violation (including a non-finite critical
+value), 64 usage error.
 """
 
 from __future__ import annotations
@@ -80,10 +81,17 @@ def read_matrix(path, header: bool = False) -> np.ndarray:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     with fh:
-        x = _loadtxt(fh, header) if fh.seekable() else None
-        if x is None:
-            x = _read_rows(fh, path, header)
+        try:
+            x = _loadtxt(fh, header) if fh.seekable() else None
+            if x is None:
+                x = _read_rows(fh, path, header)
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from exc
     return as_sample_matrix(x)
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> InputError:
+    return InputError(f"{path}: not {exc.encoding} text: {exc.reason}")
 
 
 def _loadtxt(fh, header: bool):
@@ -279,20 +287,24 @@ def _load_grid(grid_dir):
         fh = open(grid_csv, newline="")
     except OSError as exc:
         raise InputError(f"cannot read {grid_csv}: {exc}") from exc
-    points = []
     with fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            label = row[0].strip()
-            try:
-                theta = tuple(float(v) for v in row[1:])
-            except ValueError as exc:
-                raise InputError(
-                    f"{grid_csv}: line {lineno}: bad theta coordinates"
-                ) from exc
-            matrix = read_matrix(os.path.join(grid_dir, f"point_{label}.csv"))
-            points.append(GridPoint(label=label, theta=theta, g_values=matrix))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise _undecodable(grid_csv, exc) from exc
+    points = []
+    for lineno, row in enumerate(rows, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        label = row[0].strip()
+        try:
+            theta = tuple(float(v) for v in row[1:])
+        except ValueError as exc:
+            raise InputError(
+                f"{grid_csv}: line {lineno}: bad theta coordinates"
+            ) from exc
+        matrix = read_matrix(os.path.join(grid_dir, f"point_{label}.csv"))
+        points.append(GridPoint(label=label, theta=theta, g_values=matrix))
     return points
 
 

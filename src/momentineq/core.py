@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateColumnError, InputError
+from .errors import DegenerateColumnError, InputError, UndefinedCriticalValueError
 
 __all__ = [
     "as_sample_matrix",
@@ -205,11 +205,12 @@ def exceeds(summary: MomentSummary, c: float) -> bool:
 
     Through the resolution in :func:`test_statistic` this is
     ``sqrt(n) * mean_j > c * sd_j`` for some ``j``: a zero-variance column
-    forces rejection exactly when its mean is positive.
+    forces rejection exactly when its mean is positive.  A non-finite ``c``
+    raises :class:`~momentineq.errors.UndefinedCriticalValueError`.
     """
     c = float(c)
     if not np.isfinite(c):
-        raise ValueError(f"critical value must be finite, got {c}")
+        raise UndefinedCriticalValueError(f"critical value must be finite, got {c}")
     return test_statistic(summary) > c
 
 

@@ -33,7 +33,6 @@ from .gaussian import SeededStream, open_uniform
 __all__ = [
     "BlockPlan",
     "make_blocks",
-    "bmb_critical",
     "bmb_test",
 ]
 
@@ -85,33 +84,23 @@ def default_block_lengths(n: int) -> tuple[int, int]:
     return q, r
 
 
-def bmb_critical(sample, plan: BlockPlan, alpha: float, B: int,
-                 stream: SeededStream) -> float:
-    """Block multiplier bootstrap critical value.
+def bmb_test(sample, plan: BlockPlan, alpha: float, B: int,
+             stream: SeededStream) -> TestDecision:
+    """Dependent-data test: reject when ``max_j sqrt(n) mean_j`` exceeds the BMB cutoff.
 
     Each replication draws one N(0,1) multiplier per large block and records
     ``max_j (mq)^(-1/2) * sum_l eps_l * sum_{i in I_l} (x_ij - mean_j)``;
-    the critical value is the ``1 - alpha`` empirical quantile of ``B``
+    the cutoff is the ``1 - alpha`` empirical quantile of ``B``
     replications.
     """
-    x = _checked(sample, plan, alpha, B)
-    return _bmb_cutoff(x, summarize(x), plan, alpha, int(B), stream)
-
-
-def _checked(sample, plan: BlockPlan, alpha: float, B: int) -> np.ndarray:
-    """The sample matrix, once ``alpha``, ``B`` and the plan's ``n`` are checked."""
-    check_sizes(alpha, replications=int(B))
+    B = int(B)
+    check_sizes(alpha, replications=B)
     x = as_sample_matrix(sample)
     if plan.n != x.shape[0]:
         raise ValueError(
             f"block plan is for n={plan.n} but sample has n={x.shape[0]} rows"
         )
-    return x
-
-
-def _bmb_cutoff(x: np.ndarray, s: MomentSummary, plan: BlockPlan, alpha: float,
-                B: int, stream: SeededStream) -> float:
-    """:func:`bmb_critical` of a checked sample ``x`` with its summary ``s``."""
+    s = summarize(x)
     xc = x - s.means
     block_sums = np.stack([xc[a:b].sum(axis=0) for a, b in plan.large_blocks])
     scale = 1.0 / math.sqrt(plan.m * plan.q)
@@ -122,13 +111,5 @@ def _bmb_cutoff(x: np.ndarray, s: MomentSummary, plan: BlockPlan, alpha: float,
         stop = min(start + step, B)
         eps = ndtri(open_uniform(gen, (stop - start, plan.m)))
         out[start:stop] = (eps @ block_sums).max(axis=1) * scale
-    return _quantile(out, 1.0 - alpha)
-
-
-def bmb_test(sample, plan: BlockPlan, alpha: float, B: int,
-             stream: SeededStream) -> TestDecision:
-    """Dependent-data test: reject when ``max_j sqrt(n) mean_j`` exceeds the BMB cutoff."""
-    x = _checked(sample, plan, alpha, B)
-    s = summarize(x)
-    cv = _bmb_cutoff(x, s, plan, alpha, int(B), stream)
+    cv = _quantile(out, 1.0 - alpha)
     return decide(MomentSummary(s.means, np.ones(s.p), s.n), cv, range(1, s.p + 1), "bmb")

@@ -38,7 +38,6 @@ __all__ = [
     "DesignSpec",
     "McConfig",
     "McResult",
-    "covariance_factor",
     "draw_sample",
     "run_mc",
     "PowerCurve",
@@ -90,30 +89,6 @@ class DesignSpec:
             mu[:cut] = 0.05
             mu[cut:] = -0.75
         return mu
-
-
-def covariance_factor(p: int, rho: float, structure: str) -> np.ndarray:
-    """A ``p x p`` matrix ``A`` with ``A'A`` equal to the design covariance.
-
-    The equicorrelated factor is the closed-form symmetric square root
-    ``a I + b 11'`` (so applying it costs O(p) per row); the autoregressive
-    factor is the transpose of the analytic Cholesky factor of the Toeplitz
-    matrix ``rho^|j-k|``.
-    """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    structure = str(structure).upper()
-    if structure == "EQUI":
-        a = math.sqrt(1.0 - rho)
-        b = (math.sqrt(1.0 - rho + p * rho) - a) / p
-        return a * np.eye(p) + b * np.ones((p, p))
-    if structure == "AR":
-        idx = np.arange(p)
-        lags = np.maximum(idx[:, None] - idx[None, :], 0)
-        lower = np.tril(rho ** lags)
-        lower[:, 1:] *= math.sqrt(1.0 - rho * rho)
-        return lower.T
-    raise ValueError(f"structure must be EQUI or AR, got {structure!r}")
 
 
 def _innovations(gen, n: int, p: int, dist: str) -> np.ndarray:

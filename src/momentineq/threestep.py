@@ -34,7 +34,6 @@ from .gaussian import SeededStream
 __all__ = [
     "ParametricMomentData",
     "ThreeStepConfig",
-    "gradient_bootstrap_critical",
     "three_step_test",
 ]
 
@@ -143,21 +142,6 @@ def _gradient_draws(data: ParametricMomentData, flat: MomentSummary,
     vflat = data.v.reshape(data.n, data.p * data.r)
     return _values(cfg.scheme, vflat, flat.means, flat.sds, np.arange(flat.p),
                    cfg.replications, stream)
-
-
-def gradient_bootstrap_critical(data: ParametricMomentData, gamma: float,
-                                cfg: ThreeStepConfig) -> float:
-    """``1 - gamma`` bootstrap quantile of the max studentized gradient average.
-
-    The max runs over all ``p * r`` gradient coordinates jointly; the
-    empirical scheme resamples whole observation rows, preserving the
-    dependence across coordinates.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    stream = SeededStream(cfg.seed).child("grad-crit")
-    vals = _gradient_draws(data, _flat_gradient_summary(data), cfg, stream)
-    return _quantile(vals, 1.0 - gamma)
 
 
 def _sets(data, g_summary, cfg, stream):

@@ -110,15 +110,18 @@ def test_criterion_06_exact_invariant_suite():
         x = rng.normal(size=(60, 6)) + 0.1
         stream = mi.SeededStream(SEED + 6)
 
+        def cv(sample, method, B, alpha=0.05, beta=0.001, stream=stream):
+            spec = mi.CriticalValueSpec(method, alpha, beta, B)
+            return mi.run_test(sample, spec, stream=stream).critical_value
+
         # column scale invariance of T and of every bootstrap critical value
         scale = np.array([4.0, 0.25, 2.0, 0.5, 8.0, 1.0])
         xs = x * scale
         assert mi.test_statistic(mi.summarize(x)) == mi.test_statistic(mi.summarize(xs))
-        for scheme in ("MB", "EB"):
-            cfg = mi.BootstrapConfig(scheme, 400, stream, alpha=0.05, beta=0.001)
-            assert mi.one_step_critical(x, cfg) == mi.one_step_critical(xs, cfg)
-            assert mi.two_step_critical(x, cfg) == mi.two_step_critical(xs, cfg)
-            assert mi.hybrid_critical(x, cfg, 0.001) == mi.hybrid_critical(xs, cfg, 0.001)
+        for scheme in ("mb", "eb"):
+            assert cv(x, scheme + "1", 400) == cv(xs, scheme + "1", 400)
+            assert cv(x, scheme + "2", 400) == cv(xs, scheme + "2", 400)
+            assert cv(x, "hyb-" + scheme, 400) == cv(xs, "hyb-" + scheme, 400)
 
         # duplication invariance of MB/EB draws under shared streams
         xdup = np.hstack([x, x[:, [2]]])
@@ -132,16 +135,13 @@ def test_criterion_06_exact_invariant_suite():
         perm = np.array([5, 2, 0, 4, 1, 3])
         xp = x[:, perm]
         assert mi.test_statistic(mi.summarize(x)) == mi.test_statistic(mi.summarize(xp))
-        for scheme in ("MB", "EB"):
-            cfg = mi.BootstrapConfig(scheme, 400, stream, alpha=0.05)
-            assert mi.one_step_critical(x, cfg) == mi.one_step_critical(xp, cfg)
+        for scheme in ("mb", "eb"):
+            assert cv(x, scheme + "1", 400) == cv(xp, scheme + "1", 400)
 
         # two-step equals one-step at level 1 - alpha + 2 beta under full selection
         pos = scores_sample([0.0, 0.4, 0.9, 1.5])
-        for scheme in ("MB", "EB"):
-            cfg = mi.BootstrapConfig(scheme, 500, stream, alpha=0.05, beta=0.001)
-            shifted = dataclasses.replace(cfg, alpha=0.05 - 0.002)
-            assert mi.two_step_critical(pos, cfg) == mi.one_step_critical(pos, shifted)
+        for scheme in ("mb", "eb"):
+            assert cv(pos, scheme + "2", 500) == cv(pos, scheme + "1", 500, alpha=0.05 - 0.002)
 
         # three-step equals two-step at 4 beta when gradients are informative
         g = scores_sample([0.0, 0.4, 1.2])
@@ -151,8 +151,7 @@ def test_criterion_06_exact_invariant_suite():
             alpha=0.05, beta=0.001, scheme="MB", replications=500, seed=SEED + 6
         )
         d3 = mi.three_step_test(data, cfg3)
-        cfg2 = mi.BootstrapConfig("MB", 500, mi.SeededStream(SEED + 6), alpha=0.05, beta=0.002)
-        assert d3.critical_value == mi.two_step_critical(g, cfg2)
+        assert d3.critical_value == cv(g, "mb2", 500, beta=0.002, stream=mi.SeededStream(SEED + 6))
         assert d3.statistic == mi.test_statistic(mi.summarize(g))
 
         # block partition correctness
@@ -175,8 +174,6 @@ def test_criterion_06_exact_invariant_suite():
         for method in ("mb1", "mb2", "eb1", "eb2", "hyb-mb", "hyb-eb"):
             spec = mi.CriticalValueSpec(method, replications=300, seed=SEED)
             assert mi.run_test(x, spec) == mi.run_test(x, spec)
-        assert mi.gradient_bootstrap_critical(data, 0.05, cfg3) == \
-            mi.gradient_bootstrap_critical(data, 0.05, cfg3)
         assert mi.three_step_test(data, cfg3) == mi.three_step_test(data, cfg3)
         plan = mi.make_blocks(60, 8, 3)
         assert mi.bmb_test(x, plan, 0.05, 300, stream) == mi.bmb_test(x, plan, 0.05, 300, stream)

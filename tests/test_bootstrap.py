@@ -1,6 +1,5 @@
 """Bootstrap draw engine: exact conditional laws, exact invariances, quantiles."""
 
-import dataclasses
 import itertools
 import math
 
@@ -12,22 +11,17 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import kstest
 
 from momentineq import (
-    BootstrapConfig,
     BootstrapDraws,
     CriticalValueSpec,
     DegenerateColumnError,
     SeededStream,
     eb_draws,
     empirical_quantile,
-    hybrid_critical,
     mb_draws,
-    one_step_critical,
     run_test,
-    select_set,
     sn_one_step,
     sn_select,
     summarize,
-    two_step_critical,
 )
 from momentineq.sn import threshold_select
 from score_samples import sample_with_scores
@@ -37,6 +31,19 @@ from score_samples import sample_with_scores
 def gauss_sample():
     rng = np.random.default_rng(99)
     return rng.normal(size=(50, 3))
+
+
+def decision(x, method, B, stream, alpha=0.05, beta=0.001):
+    """``run_test`` of ``method`` on ``stream``: every critical value is read off a decision."""
+    return run_test(x, CriticalValueSpec(method, alpha, beta, B), stream=stream)
+
+
+def critical(x, method, B, stream, alpha=0.05, beta=0.001):
+    return decision(x, method, B, stream, alpha, beta).critical_value
+
+
+def selected(x, method, B, stream, alpha=0.05, beta=0.001):
+    return frozenset(decision(x, method, B, stream, alpha, beta).selected)
 
 
 class TestDrawEngines:
@@ -139,27 +146,25 @@ class TestEmpiricalQuantile:
 class TestOneStep:
     def test_single_column_matches_normal_quantile(self, gauss_sample):
         x = gauss_sample[:, :1]
-        cfg = BootstrapConfig("MB", 100_000, SeededStream(21), alpha=0.05)
-        assert abs(one_step_critical(x, cfg) - 1.6449) <= 0.03
+        assert abs(critical(x, "mb1", 100_000, SeededStream(21)) - 1.6449) <= 0.03
 
     def test_gaussian_max_upper_bound(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(200, 50))
-        cfg = BootstrapConfig("MB", 100_000, SeededStream(4), alpha=0.05)
         bound = math.sqrt(2 * math.log(50)) + math.sqrt(2 * math.log(1 / 0.05))
-        assert one_step_critical(x, cfg) <= bound + 0.05
+        assert critical(x, "mb1", 100_000, SeededStream(4)) <= bound + 0.05
 
     def test_column_permutation_invariance_bitwise(self, gauss_sample):
-        cfg = BootstrapConfig("EB", 400, SeededStream(2), alpha=0.05)
         perm = np.array([2, 0, 1])
-        assert one_step_critical(gauss_sample, cfg) == one_step_critical(
-            gauss_sample[:, perm], cfg
+        assert critical(gauss_sample, "eb1", 400, SeededStream(2)) == critical(
+            gauss_sample[:, perm], "eb1", 400, SeededStream(2)
         )
 
     def test_power_of_two_scaling_invariance_bitwise(self, gauss_sample):
-        cfg = BootstrapConfig("MB", 400, SeededStream(2), alpha=0.05)
         scaled = gauss_sample * np.array([4.0, 0.5, 16.0])
-        assert one_step_critical(gauss_sample, cfg) == one_step_critical(scaled, cfg)
+        assert critical(gauss_sample, "mb1", 400, SeededStream(2)) == critical(
+            scaled, "mb1", 400, SeededStream(2)
+        )
 
 
 def _outcome(x, spec):
@@ -206,82 +211,75 @@ class TestFloatRange:
 
 class TestSelection:
     def test_rule_matches_recomputed_threshold(self, gauss_sample):
-        cfg = BootstrapConfig("MB", 500, SeededStream(31), alpha=0.05, beta=0.01)
         s = summarize(gauss_sample)
         d = mb_draws(gauss_sample, s, None, 500, SeededStream(31).child("select"))
         c_beta = empirical_quantile(d, 1 - 0.01)
-        assert select_set(gauss_sample, cfg) == threshold_select(s, -2.0 * c_beta)
+        assert selected(gauss_sample, "mb2", 500, SeededStream(31), beta=0.01) == \
+            threshold_select(s, -2.0 * c_beta)
 
     def test_crafted_margins(self):
         x = sample_with_scores([1.0, -50.0, 0.0])
-        cfg = BootstrapConfig("MB", 500, SeededStream(6), alpha=0.05, beta=0.001)
-        assert select_set(x, cfg) == frozenset({1, 3})
+        assert selected(x, "mb2", 500, SeededStream(6)) == frozenset({1, 3})
 
     def test_all_nonnegative_scores_select_all(self):
         x = sample_with_scores([0.0, 0.5, 1.0, 2.0])
-        cfg = BootstrapConfig("EB", 300, SeededStream(6), alpha=0.05, beta=0.001)
-        assert select_set(x, cfg) == frozenset({1, 2, 3, 4})
+        assert selected(x, "eb2", 300, SeededStream(6)) == frozenset({1, 2, 3, 4})
 
     def test_smaller_beta_weakly_grows_selection(self):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(100, 12)) - 0.25
-        for scheme in ("MB", "EB"):
-            small = select_set(
-                x, BootstrapConfig(scheme, 800, SeededStream(9), alpha=0.2, beta=0.001)
-            )
-            large = select_set(
-                x, BootstrapConfig(scheme, 800, SeededStream(9), alpha=0.2, beta=0.05)
-            )
+        for method in ("mb2", "eb2"):
+            small = selected(x, method, 800, SeededStream(9), alpha=0.2, beta=0.001)
+            large = selected(x, method, 800, SeededStream(9), alpha=0.2, beta=0.05)
             # same stream, same draws: smaller beta means a larger threshold
             # quantile, a lower cutoff, a weakly larger set
             assert large <= small
 
     def test_beta_domain(self, gauss_sample):
-        cfg = BootstrapConfig("MB", 200, SeededStream(1), alpha=0.05, beta=0.03)
         with pytest.raises(ValueError):
-            select_set(gauss_sample, cfg)
+            selected(gauss_sample, "mb2", 200, SeededStream(1), beta=0.03)
 
 
 class TestTwoStepAndHybrid:
     def test_full_selection_equals_one_step_at_shifted_level(self):
         x = sample_with_scores([0.0, 0.3, 0.8, 1.5])
-        for scheme in ("MB", "EB"):
-            cfg = BootstrapConfig(scheme, 600, SeededStream(44), alpha=0.05, beta=0.001)
-            shifted = dataclasses.replace(cfg, alpha=0.05 - 2 * 0.001)
-            assert two_step_critical(x, cfg) == one_step_critical(x, shifted)
+        for s in ("mb", "eb"):
+            assert critical(x, s + "2", 600, SeededStream(44)) == critical(
+                x, s + "1", 600, SeededStream(44), alpha=0.05 - 2 * 0.001
+            )
 
     def test_two_step_at_least_one_step(self):
         x = sample_with_scores([0.0, 0.3, 0.8, 1.5])
-        cfg = BootstrapConfig("MB", 600, SeededStream(44), alpha=0.05, beta=0.001)
-        assert two_step_critical(x, cfg) >= one_step_critical(x, cfg)
+        assert critical(x, "mb2", 600, SeededStream(44)) >= critical(
+            x, "mb1", 600, SeededStream(44)
+        )
 
     def test_empty_selection_gives_zero(self):
         x = sample_with_scores([-50.0, -80.0])
-        cfg = BootstrapConfig("MB", 300, SeededStream(5), alpha=0.05, beta=0.001)
-        assert two_step_critical(x, cfg) == 0.0
+        assert critical(x, "mb2", 300, SeededStream(5)) == 0.0
 
     def test_dropping_slack_columns_changes_nothing(self):
         x = sample_with_scores([0.0, -50.0, 0.7])
-        cfg = BootstrapConfig("MB", 500, SeededStream(13), alpha=0.05, beta=0.001)
         kept = sample_with_scores([0.0, 0.7])
-        assert select_set(x, cfg) == frozenset({1, 3})
-        assert two_step_critical(x, cfg) == two_step_critical(kept, cfg)
+        assert selected(x, "mb2", 500, SeededStream(13)) == frozenset({1, 3})
+        assert critical(x, "mb2", 500, SeededStream(13)) == critical(
+            kept, "mb2", 500, SeededStream(13)
+        )
 
     def test_hybrid_equals_two_step_when_sets_agree(self):
         x = sample_with_scores([0.0, 0.4, 1.1])
-        for scheme in ("MB", "EB"):
-            cfg = BootstrapConfig(scheme, 500, SeededStream(7), alpha=0.05, beta=0.001)
-            assert hybrid_critical(x, cfg, 0.001) == two_step_critical(x, cfg)
+        for s in ("mb", "eb"):
+            assert critical(x, "hyb-" + s, 500, SeededStream(7)) == critical(
+                x, s + "2", 500, SeededStream(7)
+            )
 
     def test_hybrid_empty_selection_gives_zero(self):
         x = sample_with_scores([-60.0, -70.0])
-        cfg = BootstrapConfig("MB", 300, SeededStream(5), alpha=0.05)
-        assert hybrid_critical(x, cfg, 0.001) == 0.0
+        assert critical(x, "hyb-mb", 300, SeededStream(5)) == 0.0
 
     def test_hybrid_beta_domain(self, gauss_sample):
-        cfg = BootstrapConfig("MB", 200, SeededStream(1), alpha=0.05)
-        with pytest.raises(ValueError):
-            hybrid_critical(gauss_sample, cfg, 0.02)  # needs beta <= alpha/3
+        with pytest.raises(ValueError):  # needs beta <= alpha/3
+            critical(gauss_sample, "hyb-mb", 200, SeededStream(1), beta=0.02)
 
 
 class TestRunTest:
@@ -342,7 +340,13 @@ class TestRunTest:
 
 
 class TestMethodTable:
-    """``run_test`` dispatches each method to the pipeline its public entry point runs."""
+    """``run_test`` runs each method on the draws and levels its definition names.
+
+    The reference rebuilds every critical value from the public draw
+    engines: selection draws on the ``select`` child of the test's stream
+    at level ``1 - beta``, cutoff draws on the ``crit`` child at level
+    ``1 - alpha + m beta``, and the analytic formula for the SN scheme.
+    """
 
     ALPHA, BETA, B = 0.05, 0.004, 300
 
@@ -350,18 +354,23 @@ class TestMethodTable:
     def public(method, x, stream):
         alpha, beta, B = TestMethodTable.ALPHA, TestMethodTable.BETA, TestMethodTable.B
         s = summarize(x)
+        everything = frozenset(range(1, s.p + 1))
         if method == "sn1":
-            return sn_one_step(alpha, s.p, s.n), frozenset(range(1, s.p + 1))
+            return sn_one_step(alpha, s.p, s.n), everything
         if method == "sn2":
             kept = sn_select(s, beta)
             return sn_one_step(alpha - 2 * beta, len(kept), s.n), kept
-        cfg = BootstrapConfig(method[-2:] if method.startswith("hyb") else method[:2],
-                              B, stream, alpha=alpha, beta=beta)
+        draws = mb_draws if "mb" in method else eb_draws
         if method.endswith("1"):
-            return one_step_critical(x, cfg), frozenset(range(1, s.p + 1))
+            crit = draws(x, s, None, B, stream.child("crit"))
+            return empirical_quantile(crit, 1 - alpha), everything
         if method.endswith("2"):
-            return two_step_critical(x, cfg), select_set(x, cfg)
-        return hybrid_critical(x, cfg, beta), sn_select(s, beta)
+            sel = draws(x, s, None, B, stream.child("select"))
+            kept = threshold_select(s, -2.0 * empirical_quantile(sel, 1 - beta))
+        else:
+            kept = sn_select(s, beta)
+        crit = draws(x, s, kept, B, stream.child("crit"))
+        return empirical_quantile(crit, 1 - alpha + 2 * beta), kept
 
     @pytest.mark.parametrize(
         "method", ["sn1", "sn2", "mb1", "mb2", "eb1", "eb2", "hyb-mb", "hyb-eb"]

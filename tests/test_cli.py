@@ -158,6 +158,32 @@ def test_each_command_summarizes_once(tmp_path, monkeypatch, argv):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["test", "--method", "mb1", "--reps", "200"],
+    ["bmb", "--reps", "200"],
+])
+def test_non_finite_cutoff_is_precondition_error(tmp_path, monkeypatch, capsys, argv):
+    # forced here; an overflowing sample can produce the same NaN quantile
+    for name in ("bootstrap", "dependent"):
+        monkeypatch.setattr(f"momentineq.{name}._quantile", lambda values, level: math.nan)
+    path = write_csv(tmp_path / "x.csv", np.random.default_rng(9).normal(size=(120, 4)))
+    assert main(argv[:1] + ["--input", path] + argv[1:]) == 3
+    assert "critical value must be finite" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"1,2\n3,\xff4\n"
+
+
+@pytest.mark.parametrize("argv", [["diagnose"], ["test", "--method", "sn1"]])
+def test_non_utf8_file_is_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(NOT_UTF8)
+    assert main(argv[:1] + ["--input", str(path)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"momentineq: input error: {path}: not utf-8 text")
+    assert err.count("\n") == 1
+
+
 class TestCmdMc:
     def test_writes_csv_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"
@@ -248,6 +274,15 @@ class TestCmdInvert:
         (gdir / "grid.csv").write_text("a,0.0\n")
         assert main(["invert", "--grid", str(gdir), "--method", "sn1",
                      "--out", str(tmp_path / "r.csv")]) == 2
+
+    def test_non_utf8_grid_is_input_error(self, tmp_path, capsys):
+        gdir = tmp_path / "grid"
+        gdir.mkdir()
+        (gdir / "grid.csv").write_bytes(b"a,0.0\nb,\xff1.0\n")
+        assert main(["invert", "--grid", str(gdir), "--method", "sn1",
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"momentineq: input error: {gdir / 'grid.csv'}: not utf-8 text")
 
     def test_inconsistent_n_is_input_error(self, tmp_path, capsys):
         gdir = tmp_path / "grid"

@@ -16,7 +16,7 @@ from momentineq import (
     summarize,
 )
 from momentineq import test_statistic as max_statistic
-from momentineq.errors import DegenerateColumnError
+from momentineq.errors import DegenerateColumnError, UndefinedCriticalValueError
 
 
 def matrices(min_rows=2, max_rows=12, min_cols=1, max_cols=6):
@@ -210,8 +210,9 @@ class TestExceeds:
 
     def test_rejects_non_finite_cutoff(self):
         s = summarize([[0.0], [1.0]])
-        with pytest.raises(ValueError):
-            exceeds(s, np.inf)
+        for c in (np.inf, np.nan):
+            with pytest.raises(UndefinedCriticalValueError, match="finite"):
+                exceeds(s, c)
 
 
 class TestDiagnostics:

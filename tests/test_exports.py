@@ -38,6 +38,14 @@ DELETED = [
     "three_step_sets",
     "gradient_summary",
     "GradientSummary",
+    "BootstrapConfig",
+    "one_step_critical",
+    "select_set",
+    "two_step_critical",
+    "hybrid_critical",
+    "bmb_critical",
+    "gradient_bootstrap_critical",
+    "covariance_factor",
 ]
 
 

@@ -14,14 +14,13 @@ from momentineq import (
     DesignSpec,
     McConfig,
     SeededStream,
-    covariance_factor,
     draw_sample,
     power_sweep,
     run_mc,
 )
 from momentineq import simulate
 from momentineq.gaussian import open_uniform
-from momentineq.simulate import _innovations
+from momentineq.simulate import _apply_ar, _apply_equi, _innovations
 
 
 def sigma_for(p, rho, structure):
@@ -33,34 +32,40 @@ def sigma_for(p, rho, structure):
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
+def applied_factor(p, rho, structure):
+    """The ``p x p`` factor ``A`` that ``draw_sample`` applies to each row: ``y = eps @ A``."""
+    apply = _apply_equi if structure == "EQUI" else _apply_ar
+    return apply(np.eye(p), rho)
+
+
 class TestCovarianceFactor:
     def test_rho_zero_is_identity(self):
         for structure in ("EQUI", "AR"):
             np.testing.assert_array_equal(
-                covariance_factor(5, 0.0, structure), np.eye(5)
+                applied_factor(5, 0.0, structure), np.eye(5)
             )
 
     def test_equi_two_by_two(self):
-        a = covariance_factor(2, 0.5, "EQUI")
+        a = applied_factor(2, 0.5, "EQUI")
         target = np.array([[1.0, 0.5], [0.5, 1.0]])
         assert np.abs(a.T @ a - target).max() <= 1e-12
 
     def test_ar_three_by_three_corner(self):
-        a = covariance_factor(3, 0.9, "AR")
+        a = applied_factor(3, 0.9, "AR")
         assert abs((a.T @ a)[0, 2] - 0.81) <= 1e-12
 
     @pytest.mark.parametrize("structure", ["EQUI", "AR"])
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.5, 0.9])
     @pytest.mark.parametrize("p", [1, 2, 7, 60])
     def test_reconstruction_grid(self, structure, rho, p):
-        a = covariance_factor(p, rho, structure)
+        a = applied_factor(p, rho, structure)
         assert np.abs(a.T @ a - sigma_for(p, rho, structure)).max() <= 1e-10
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
-            covariance_factor(4, 1.0, "EQUI")
+            DesignSpec(1, 50, 4, rho=1.0, dist="t4")
         with pytest.raises(ValueError):
-            covariance_factor(4, -0.2, "AR")
+            DesignSpec(3, 50, 4, rho=-0.2, dist="t4")
 
 
 class TestInnovations:

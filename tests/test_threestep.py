@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 
 from momentineq import (
-    BootstrapConfig,
+    CriticalValueSpec,
     DegenerateColumnError,
     InputError,
     ParametricMomentData,
     SeededStream,
     ThreeStepConfig,
-    gradient_bootstrap_critical,
+    run_test,
     summarize,
     three_step_test,
-    two_step_critical,
 )
-from momentineq.threestep import _flat_gradient_summary, _sets
+from momentineq.bootstrap import _quantile
+from momentineq.threestep import _flat_gradient_summary, _gradient_draws, _sets
 
 
 def matrix_with_scores(scores, n=400):
@@ -93,6 +93,13 @@ class TestGradientSummary:
         np.testing.assert_array_equal(flat.sds, s.sds)
 
 
+def gradient_critical(data, gamma, cfg):
+    """``1 - gamma`` quantile of the gradient bootstrap draws that ``_sets`` thresholds."""
+    stream = SeededStream(cfg.seed).child("grad-crit")
+    draws = _gradient_draws(data, _flat_gradient_summary(data), cfg, stream)
+    return _quantile(draws, 1 - gamma)
+
+
 class TestGradientBootstrap:
     def test_scalar_case_matches_normal_quantile(self):
         rng = np.random.default_rng(8)
@@ -100,7 +107,7 @@ class TestGradientBootstrap:
             g=rng.normal(size=(50, 1)), v=rng.normal(size=(50, 1, 1))
         )
         cfg = ThreeStepConfig(alpha=0.05, beta=0.001, replications=100_000, seed=40)
-        assert abs(gradient_bootstrap_critical(data, 0.05, cfg) - 1.6449) <= 0.03
+        assert abs(gradient_critical(data, 0.05, cfg) - 1.6449) <= 0.03
 
     def test_duplicated_gradient_column_changes_nothing(self):
         rng = np.random.default_rng(9)
@@ -108,8 +115,8 @@ class TestGradientBootstrap:
         v = rng.normal(size=(30, 2, 2))
         vdup = np.concatenate([v, v[:, :, :1]], axis=2)
         cfg = ThreeStepConfig(alpha=0.05, replications=400, seed=3)
-        a = gradient_bootstrap_critical(ParametricMomentData(g=g, v=v), 0.1, cfg)
-        b = gradient_bootstrap_critical(ParametricMomentData(g=g, v=vdup), 0.1, cfg)
+        a = gradient_critical(ParametricMomentData(g=g, v=v), 0.1, cfg)
+        b = gradient_critical(ParametricMomentData(g=g, v=vdup), 0.1, cfg)
         assert a == b
 
     def test_quantile_decreasing_in_gamma(self):
@@ -119,7 +126,7 @@ class TestGradientBootstrap:
         )
         cfg = ThreeStepConfig(alpha=0.05, replications=600, seed=4)
         vals = [
-            gradient_bootstrap_critical(data, gmm, cfg)
+            gradient_critical(data, gmm, cfg)
             for gmm in (0.01, 0.05, 0.2, 0.5, 0.9)
         ]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -218,10 +225,8 @@ class TestThreeStepTest:
             alpha=0.05, beta=beta, scheme="MB", replications=500, seed=22
         )
         d = three_step_test(data, cfg3)
-        cfg2 = BootstrapConfig(
-            "MB", 500, SeededStream(22), alpha=0.05, beta=2 * beta
-        )
-        assert d.critical_value == two_step_critical(data.g, cfg2)
+        spec2 = CriticalValueSpec("mb2", alpha=0.05, beta=2 * beta, replications=500)
+        assert d.critical_value == run_test(data.g, spec2, stream=SeededStream(22)).critical_value
         s = summarize(data.g)
         assert d.statistic == float(
             (math.sqrt(400) * s.means / s.sds).max()
