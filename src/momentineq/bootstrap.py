@@ -59,8 +59,9 @@ __all__ = [
 
 SCHEMES = ("MB", "EB")
 
-# Replication blocks are generated in chunks of roughly this many scalars
-# to bound memory at large B; chunking never changes the values drawn.
+# Replication blocks are drawn in chunks of roughly this many scalars to
+# bound memory at large B.  The chunk height depends on the row count and B
+# only, so chunking keeps the column invariances but may move a draw's bits.
 _CHUNK_SCALARS = 4_000_000
 
 # The draw matrix is multiplied in fixed-width column blocks (zero-padded at
@@ -90,16 +91,6 @@ def _columns_mask(J, p: int) -> np.ndarray:
     return np.asarray(cols, dtype=np.intp) - 1
 
 
-def _chunk(n: int, B: int) -> int:
-    return max(1, min(B, _CHUNK_SCALARS // max(n, 1)))
-
-
-def _check_nondegenerate(sigma: np.ndarray, cols0: np.ndarray, context: str):
-    bad = cols0[sigma[cols0] == 0.0]
-    if bad.size:
-        raise DegenerateColumnError(bad + 1, context=context)
-
-
 def _blocked_rowmax(weights: np.ndarray, g: np.ndarray, shift=None) -> np.ndarray:
     """Row max of ``weights @ g`` (minus ``shift``) in fixed-width column blocks."""
     n, c = g.shape
@@ -119,46 +110,56 @@ def _blocked_rowmax(weights: np.ndarray, g: np.ndarray, shift=None) -> np.ndarra
     return out
 
 
-def _mb_values(x, mu, sigma, cols0, B, stream) -> np.ndarray:
-    n = x.shape[0]
-    if cols0.size == 0:
-        return np.zeros(B)
-    _check_nondegenerate(sigma, cols0, "multiplier bootstrap undefined")
-    g = (x[:, cols0] - mu[cols0]) / (math.sqrt(n) * sigma[cols0])
+def _normal_weights(gen, k: int, rows: int) -> np.ndarray:
+    """``k`` replications of i.i.d. N(0,1) multipliers, one per row."""
+    return ndtri(open_uniform(gen, (k, rows)))
+
+
+def _count_weights(gen, k: int, rows: int) -> np.ndarray:
+    """``k`` replications of resampling counts: how often each row is drawn."""
+    idx = gen.integers(0, rows, size=(k, rows))
+    flat = (idx + (np.arange(k) * rows)[:, None]).ravel()
+    return np.bincount(flat, minlength=k * rows).reshape(k, rows).astype(np.float64)
+
+
+def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream,
+                  shift=None) -> np.ndarray:
+    """``B`` draws of the row max of ``weights(gen, k, rows) @ target`` (minus ``shift``).
+
+    The one draw loop of every bootstrap.  Its chunk height ``k`` depends
+    only on the row count and ``B``, never on the columns, so the column
+    invariances hold bit for bit; the BLAS kernel may depend on ``k``, so
+    chunked draws can differ from unchunked ones in the last bits.
+    """
+    rows = target.shape[0]
     gen = stream.generator()
     out = np.empty(B)
-    step = _chunk(n, B)
+    step = max(1, min(B, _CHUNK_SCALARS // max(rows, 1)))
     for start in range(0, B, step):
         stop = min(start + step, B)
-        eps = ndtri(open_uniform(gen, (stop - start, n)))
-        out[start:stop] = _blocked_rowmax(eps, g)
+        out[start:stop] = _blocked_rowmax(weights(gen, stop - start, rows), target, shift)
     return out
+
+
+def _mb_values(x, mu, sigma, cols0, B, stream) -> np.ndarray:
+    g = (x[:, cols0] - mu[cols0]) / (math.sqrt(x.shape[0]) * sigma[cols0])
+    return _rowmax_draws(_normal_weights, g, B, stream)
 
 
 def _eb_values(x, mu, sigma, cols0, B, stream) -> np.ndarray:
-    n = x.shape[0]
-    if cols0.size == 0:
-        return np.zeros(B)
-    _check_nondegenerate(sigma, cols0, "empirical bootstrap undefined")
-    h = x[:, cols0] / (math.sqrt(n) * sigma[cols0])
-    s0 = math.sqrt(n) * mu[cols0] / sigma[cols0]
-    gen = stream.generator()
-    out = np.empty(B)
-    step = _chunk(n, B)
-    for start in range(0, B, step):
-        stop = min(start + step, B)
-        k = stop - start
-        idx = gen.integers(0, n, size=(k, n))
-        flat = (idx + (np.arange(k) * n)[:, None]).ravel()
-        counts = np.bincount(flat, minlength=k * n).reshape(k, n).astype(np.float64)
-        out[start:stop] = _blocked_rowmax(counts, h, shift=s0)
-    return out
+    h = x[:, cols0] / (math.sqrt(x.shape[0]) * sigma[cols0])
+    s0 = math.sqrt(x.shape[0]) * mu[cols0] / sigma[cols0]
+    return _rowmax_draws(_count_weights, h, B, stream, shift=s0)
 
 
 def _values(scheme, x, mu, sigma, cols0, B, stream) -> np.ndarray:
-    if scheme == "MB":
-        return _mb_values(x, mu, sigma, cols0, B, stream)
-    return _eb_values(x, mu, sigma, cols0, B, stream)
+    if cols0.size == 0:
+        return np.zeros(B)
+    name, values = ("multiplier", _mb_values) if scheme == "MB" else ("empirical", _eb_values)
+    bad = cols0[sigma[cols0] == 0.0]
+    if bad.size:
+        raise DegenerateColumnError(bad + 1, context=f"{name} bootstrap undefined")
+    return values(x, mu, sigma, cols0, B, stream)
 
 
 def _draws(scheme, sample, summary: MomentSummary, J, B: int, stream: SeededStream) -> BootstrapDraws:

@@ -174,10 +174,11 @@ def _decision_json(decision, extra=None) -> str:
     return json.dumps(payload)
 
 
-def _add_seeded(p, reps_default=1000):
+def _add_seeded(p, beta=True):
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--beta", type=float, default=0.001)
-    p.add_argument("--reps", type=int, default=reps_default)
+    if beta:
+        p.add_argument("--beta", type=float, default=0.001)
+    p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -223,7 +224,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--header", action="store_true")
-    _add_seeded(p)
+    _add_seeded(p, beta=False)
 
     p = sub.add_parser("diagnose", help="regularity diagnostics of a CSV matrix")
     p.add_argument("--input", required=True)

@@ -144,16 +144,15 @@ class MomentSummary:
         return tuple(int(j) + 1 for j in np.flatnonzero(self.degenerate))
 
 
-def _column_sds(xf: np.ndarray, centers: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+def _column_sds(xf: np.ndarray, centers: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Root mean square of ``xf - centers`` per column, over the whole float range.
 
-    ``magnitude[j]`` bounds ``|x_ij|`` and ``|centers_j|``.  The deviations
-    are scaled by the power of two ``2^-e`` taken from ``frexp`` of it
+    ``e[j]`` is the ``frexp`` exponent of a bound on ``|x_ij|`` and
+    ``|centers_j|``.  The deviations are scaled by the power of two ``2^-e``
     before squaring and the root is scaled back, so squares neither
     underflow nor overflow; power-of-two scaling is exact, so at normal
     scales the result is the unscaled formula's, bit for bit.
     """
-    e = np.frexp(magnitude)[1]
     sds = np.sqrt(np.mean(np.ldexp(xf - centers, -e) ** 2, axis=0))
     return np.ldexp(sds, e)
 
@@ -166,9 +165,12 @@ def summarize(sample) -> MomentSummary:
     # sum that depends only on its own entries, so a column's summary is
     # bit-identical wherever the column sits and whatever sits next to it.
     xf = np.asfortranarray(x)
-    means = xf.mean(axis=0)
     hi, lo = x.max(axis=0), x.min(axis=0)
-    sds = _column_sds(xf, means, np.maximum(hi, -lo))
+    # Both moments are taken from the columns scaled by 2^-e, so neither the
+    # sum behind the mean nor the squares overflow; the scaling is exact.
+    e = np.frexp(np.maximum(hi, -lo))[1]
+    means = np.ldexp(np.ldexp(xf, -e).mean(axis=0), e)
+    sds = _column_sds(xf, means, e)
     # A literally constant column must come out exactly (mean c, sd 0);
     # the centered two-pass formula can leave rounding residue there.
     constant = hi == lo

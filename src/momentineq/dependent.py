@@ -5,7 +5,9 @@ row range is split into alternating large and small blocks, one standard
 normal multiplier is attached to each *large* block, and the critical value
 is the empirical quantile of the resulting weighted block sums.  The small
 blocks break the dependence between consecutive large-block sums and are
-ignored by the bootstrap statistic.  The test statistic here is
+ignored by the bootstrap statistic.  The draws come from the multiplier
+bootstrap's engine, on the large-block sums in place of the studentized rows,
+so they keep its exact column invariances.  The test statistic here is
 non-studentized: ``max_j sqrt(n) * mean_j``, the studentized one of a
 summary with unit standard deviations, so the decision goes through the
 same rule as every other test.
@@ -17,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from .bootstrap import _chunk, _quantile
+from .bootstrap import _normal_weights, _quantile, _rowmax_draws
 from .core import (
     MomentSummary,
     TestDecision,
@@ -28,7 +29,7 @@ from .core import (
     decide,
     summarize,
 )
-from .gaussian import SeededStream, open_uniform
+from .gaussian import SeededStream
 
 __all__ = [
     "BlockPlan",
@@ -104,12 +105,6 @@ def bmb_test(sample, plan: BlockPlan, alpha: float, B: int,
     xc = x - s.means
     block_sums = np.stack([xc[a:b].sum(axis=0) for a, b in plan.large_blocks])
     scale = 1.0 / math.sqrt(plan.m * plan.q)
-    gen = stream.generator()
-    out = np.empty(B)
-    step = _chunk(plan.m, B)
-    for start in range(0, B, step):
-        stop = min(start + step, B)
-        eps = ndtri(open_uniform(gen, (stop - start, plan.m)))
-        out[start:stop] = (eps @ block_sums).max(axis=1) * scale
-    cv = _quantile(out, 1.0 - alpha)
+    draws = _rowmax_draws(_normal_weights, block_sums, B, stream) * scale
+    cv = _quantile(draws, 1.0 - alpha)
     return decide(MomentSummary(s.means, np.ones(s.p), s.n), cv, range(1, s.p + 1), "bmb")

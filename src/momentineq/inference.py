@@ -152,8 +152,8 @@ def approximate_two_step_test(approx: ApproxSample, spec: CriticalValueSpec, *,
     n = x.shape[0]
     mu = approx.muhat
     # deviations from supplied means are bounded by both magnitudes
-    sds = _column_sds(np.asfortranarray(x), mu,
-                      np.maximum(np.abs(x).max(axis=0), np.abs(mu)))
+    e = np.frexp(np.maximum(np.abs(x).max(axis=0), np.abs(mu)))[1]
+    sds = _column_sds(np.asfortranarray(x), mu, e)
     s = MomentSummary(means=mu, sds=sds, n=n)
     if stream is None:
         stream = SeededStream(spec.seed)

@@ -15,14 +15,17 @@ from momentineq import (
     CriticalValueSpec,
     DegenerateColumnError,
     SeededStream,
+    bmb_test,
     eb_draws,
     empirical_quantile,
+    make_blocks,
     mb_draws,
     run_test,
     sn_one_step,
     sn_select,
     summarize,
 )
+from momentineq import bootstrap
 from momentineq.sn import threshold_select
 from score_samples import sample_with_scores
 
@@ -110,6 +113,69 @@ class TestDrawEngines:
         sub = mb_draws(gauss_sample, s, [2], 300, SeededStream(8))
         # per replication the restricted max can never exceed the full max
         assert np.all(sub.values <= full.values)
+
+
+class TestChunkedInvariances:
+    """Chunk heights depend on the rows and ``B`` only, so the column invariances stay exact.
+
+    ``_CHUNK_SCALARS`` is set to seven rows' worth, so ``B = 100`` draws in
+    14 chunks of 7 replications and a last one of 2.  Chunked draws are not
+    compared with unchunked ones: the BLAS kernel may depend on the height.
+    """
+
+    B = 100
+    N = 60
+    PLAN = make_blocks(60, 5, 2)  # m = 8 block sums
+
+    @pytest.fixture
+    def x(self):
+        return np.random.default_rng(23).normal(size=(self.N, 5)) + 0.1
+
+    @pytest.fixture
+    def chunk7(self, monkeypatch):
+        def chunked(rows):
+            monkeypatch.setattr(bootstrap, "_CHUNK_SCALARS", 7 * rows)
+        return chunked
+
+    def test_chunks_are_seven_replications_and_a_short_tail(self, chunk7):
+        heights = []
+
+        def weights(gen, k, rows):
+            heights.append(k)
+            return bootstrap._normal_weights(gen, k, rows)
+
+        chunk7(self.N)
+        bootstrap._rowmax_draws(weights, np.ones((self.N, 3)), self.B, SeededStream(1))
+        assert heights == [7] * 14 + [2]
+
+    @pytest.mark.parametrize("draws", [mb_draws, eb_draws])
+    @pytest.mark.parametrize("cols", [[0, 1, 2, 3, 4, 0], [3, 0, 4, 1, 2], [4, 4, 2, 2]],
+                             ids=["duplicated", "permuted", "doubled-pair"])
+    def test_draws_keep_duplication_and_permutation(self, x, chunk7, draws, cols):
+        chunk7(self.N)
+        a = draws(x, summarize(x), [j + 1 for j in cols], self.B, SeededStream(4))
+        y = x[:, cols]
+        b = draws(y, summarize(y), None, self.B, SeededStream(4))
+        assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("draws", [mb_draws, eb_draws])
+    @pytest.mark.parametrize("J", [[2], [1, 4], [2, 3, 5]])
+    def test_draws_keep_restriction(self, x, chunk7, draws, J):
+        chunk7(self.N)
+        a = draws(x, summarize(x), J, self.B, SeededStream(6))
+        y = x[:, [j - 1 for j in J]]
+        b = draws(y, summarize(y), None, self.B, SeededStream(6))
+        assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("cols, other", [
+        ([0], [0, 0]),
+        ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 2]),
+        ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1]),
+    ], ids=["one-column-duplicated", "duplicated", "permuted"])
+    def test_bmb_cutoff_keeps_duplication_and_permutation(self, x, chunk7, cols, other):
+        chunk7(self.PLAN.m)
+        a, b = (bmb_test(x[:, c], self.PLAN, 0.05, self.B, SeededStream(8)) for c in (cols, other))
+        assert a.critical_value == b.critical_value
 
 
 class TestEmpiricalQuantile:

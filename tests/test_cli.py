@@ -137,6 +137,51 @@ class TestCmdTest:
         assert exc.value.code == 64
 
 
+def run_json(argv, path, capsys):
+    """The JSON that ``argv`` prints for the input ``path``; the command must exit 0."""
+    assert main(argv[:1] + ["--input", path] + argv[1:]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestOverflowingColumnSums:
+    # Every entry is finite at both scales, but the column sums behind the
+    # means overflow: max |x| is 1.04e307 at 2^1018.
+    SCALES = pytest.mark.parametrize("scale", [2.0 ** 1018, 2.0 ** 1020],
+                                     ids=["2^1018", "2^1020"])
+
+    @staticmethod
+    def unit_and_scaled(tmp_path, capsys, argv, scale):
+        x = np.random.default_rng(0).normal(size=(200, 5)) + 0.2
+        return [run_json(argv, write_csv(tmp_path / name, m), capsys)
+                for name, m in (("unit.csv", x), ("scaled.csv", x * scale))]
+
+    @SCALES
+    @pytest.mark.parametrize("method", ["sn1", "mb1"])
+    def test_test_keeps_the_unit_scale_decision(self, tmp_path, capsys, method, scale):
+        unit, scaled = self.unit_and_scaled(tmp_path, capsys, ["test", "--method", method], scale)
+        assert unit["reject"] is True
+        assert scaled["reject"] is True
+        for key in ("statistic", "critical_value"):
+            assert isinstance(scaled[key], float)
+            assert abs(scaled[key] - unit[key]) <= 1e-9 * abs(unit[key])
+
+    @SCALES
+    def test_diagnose_keeps_the_unit_scale_values(self, tmp_path, capsys, scale):
+        unit, scaled = self.unit_and_scaled(tmp_path, capsys, ["diagnose"], scale)
+        for key in ("m3", "m4", "bn"):
+            assert isinstance(scaled[key], float)
+            assert abs(scaled[key] - unit[key]) <= 1e-9 * abs(unit[key])
+
+    def test_bmb_scales_with_the_data(self, tmp_path, capsys):
+        # not studentized: statistic and cutoff carry the scale
+        scale = 2.0 ** 1018
+        unit, scaled = self.unit_and_scaled(tmp_path, capsys, ["bmb"], scale)
+        assert scaled["reject"] == unit["reject"]
+        for key in ("statistic", "critical_value"):
+            assert isinstance(scaled[key], float)
+            assert abs(scaled[key] - scale * unit[key]) <= 1e-9 * scale * abs(unit[key])
+
+
 @pytest.mark.parametrize("argv", [
     ["test", "--method", "mb1"],
     ["bmb", "--reps", "200"],
@@ -365,6 +410,12 @@ class TestCmdBmb:
         path = write_csv(tmp_path / "x.csv", rng.normal(size=(120, 4)))
         assert main(["bmb", "--input", path, "--alpha", "0.9", "--reps", "200"]) == 64
         assert "alpha" in capsys.readouterr().err
+
+    def test_beta_is_not_a_bmb_flag(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "x.csv", np.random.default_rng(45).normal(size=(120, 4)))
+        with pytest.raises(SystemExit) as exc:
+            main(["bmb", "--input", path, "--beta", "0.3"])
+        assert exc.value.code == 64
 
     def test_infeasible_blocks_are_precondition_error(self, tmp_path, capsys):
         rng = np.random.default_rng(43)

@@ -14,6 +14,7 @@ from momentineq import (
     normal_quantile,
     summarize,
 )
+from momentineq.bootstrap import _blocked_rowmax, _quantile
 from momentineq.gaussian import open_uniform
 
 
@@ -104,6 +105,22 @@ class TestBmbCritical:
         k = math.ceil(0.9 * 200)
         expected = np.sort(draws)[k - 1]
         assert abs(cv - expected) <= 1e-9
+
+    @pytest.mark.parametrize("shape, seed, blocks, B, alpha, stream_seed", [
+        ((200, 7), 3, (5, 2), 1000, 0.05, 77),
+        ((30, 3), 2, (5, 2), 200, 0.1, 77),
+        ((120, 70), 4, (4, 1), 500, 0.05, 9),
+        ((64, 2), 5, (3, 1), 300, 0.2, 1),
+    ])
+    def test_matches_the_formula_bitwise(self, shape, seed, blocks, B, alpha, stream_seed):
+        x = np.random.default_rng(seed).normal(size=shape)
+        plan = make_blocks(shape[0], *blocks)
+        xc = x - summarize(x).means
+        sums = np.stack([xc[a:b].sum(axis=0) for a, b in plan.large_blocks])
+        eps = ndtri(open_uniform(SeededStream(stream_seed).generator(), (B, plan.m)))
+        draws = _blocked_rowmax(eps, sums) * (1 / math.sqrt(plan.m * plan.q))
+        expected = _quantile(draws, 1 - alpha)
+        assert bmb_cutoff(x, plan, alpha, B, SeededStream(stream_seed)) == expected
 
     def test_exact_conditional_scale(self):
         # p=1: conditional on the data the draw is N(0, s_c^2) exactly,

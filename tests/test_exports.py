@@ -85,6 +85,15 @@ def test_decisions_are_built_only_by_decide():
     assert builders == [("core", "decide")]
 
 
+def test_matrix_products_are_taken_only_by_the_blocked_rowmax():
+    users = []
+    for path, tree, owner in package_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                users.append((path.stem, owner.get(id(node), "<module>")))
+    assert users == [("bootstrap", "_blocked_rowmax")]
+
+
 def test_blas_threads_are_set_only_by_the_pool_pin():
     users = set()
     for path, tree, owner in package_sources():
