@@ -36,6 +36,7 @@ from .bootstrap import (
     empirical_quantile,
     mb_draws,
     run_test,
+    run_tests,
 )
 from .threestep import (
     ParametricMomentData,
@@ -93,6 +94,7 @@ __all__ = [
     "empirical_quantile",
     "mb_draws",
     "run_test",
+    "run_tests",
     "ParametricMomentData",
     "ThreeStepConfig",
     "three_step_test",

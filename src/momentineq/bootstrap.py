@@ -14,16 +14,21 @@ columns, the SN threshold ``-2 c_SN(beta)`` or the bootstrap threshold
 EB), and the multiplier ``m`` in the level ``1 - alpha + m beta`` (the SN
 formula uses the tail ``(alpha - m beta) / k`` over ``k`` selected columns).
 :func:`_critical` runs that pipeline for :func:`run_test`, the
-approximate-data test and, with ``m = 4``, the three-step test; each
-critical value is read off the decision they return.
+approximate-data test, :func:`run_tests` and, with ``m = 4``, the
+three-step test; each critical value is read off the decision they return.
 
 Stream discipline: within one test, selection draws and critical-value draws
 come from disjoint substreams (``select`` vs ``crit`` children of the test's
 stream), so each quantile is computed from fresh randomness and the whole
-pipeline is reproducible.  Replication ``b`` consumes the ``b``-th row of the
-run's multiplier (or index) block, which makes every draw independent of the
-restriction set: restricting to a subset of columns, duplicating a column, or
-permuting columns never changes the randomness a replication sees.
+pipeline is reproducible.  :func:`run_tests`, which runs several methods on
+one sample, draws the all-column values once per scheme on the ``MB`` or
+``EB`` child of its stream and takes both the one-step cutoffs and the
+two-step selection thresholds from them; a cutoff over a selected set still
+draws on the method's own ``crit`` child.  Replication ``b`` consumes the
+``b``-th row of the run's multiplier (or index) block, which makes every
+draw independent of the restriction set: restricting to a subset of
+columns, duplicating a column, or permuting columns never changes the
+randomness a replication sees.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ __all__ = [
     "eb_draws",
     "empirical_quantile",
     "run_test",
+    "run_tests",
 ]
 
 SCHEMES = ("MB", "EB")
@@ -218,33 +224,54 @@ def empirical_quantile(draws: BootstrapDraws, level: float) -> float:
     return _quantile(np.asarray(draws.values, dtype=np.float64), level)
 
 
-def _select(rule: Rule, x, s: MomentSummary, beta, B, stream) -> frozenset[int]:
+def _select(rule: Rule, s: MomentSummary, beta, B, full) -> frozenset[int]:
     """The 1-based columns the rule keeps: all, the SN rule's, or the bootstrap rule's."""
     if rule.selection is None:
         return frozenset(range(1, s.p + 1))
     if rule.selection == "sn":
         return sn_select(s, beta)
-    vals = _values(rule.scheme, x, s.means, s.sds, np.arange(s.p), B, stream.child("select"))
-    return threshold_select(s, -2.0 * _quantile(vals, 1.0 - beta))
+    return threshold_select(s, -2.0 * _quantile(full(rule.scheme, B, "select"), 1.0 - beta))
 
 
-def _cutoff(rule: Rule, x, s: MomentSummary, selected, alpha, beta, B, stream) -> float:
-    """The rule's cutoff over ``selected`` at size ``alpha - m beta``; 0 over no columns."""
+def _cutoff(rule: Rule, x, s: MomentSummary, selected, alpha, beta, B, stream, full) -> float:
+    """The rule's cutoff over ``selected`` at size ``alpha - m beta``; 0 over no columns.
+
+    A rule that keeps every column reads its draws from ``full``; a selected
+    set draws on the ``crit`` child of ``stream``.
+    """
     if rule.scheme == "SN":
         k = len(selected)
         return _sn_from_tail((alpha - rule.m * beta) / k, s.n) if k else 0.0
-    cols0 = np.asarray(sorted(selected), dtype=np.intp) - 1
-    vals = _values(rule.scheme, x, s.means, s.sds, cols0, B, stream.child("crit"))
+    if rule.selection is None:
+        vals = full(rule.scheme, B, "crit")
+    else:
+        cols0 = np.asarray(sorted(selected), dtype=np.intp) - 1
+        vals = _values(rule.scheme, x, s.means, s.sds, cols0, B, stream.child("crit"))
     return _quantile(vals, 1.0 - alpha + rule.m * beta)
 
 
-def _critical(rule: Rule, x, s: MomentSummary, alpha, beta, B, stream):
+def _fresh(x, s: MomentSummary, stream):
+    """The all-column draws of a lone test: ``full(scheme, B, use)`` on ``stream.child(use)``.
+
+    ``use`` is ``"select"`` for the bootstrap selection threshold and
+    ``"crit"`` for a one-step cutoff, so the two never share randomness.
+    """
+    return lambda scheme, B, use: _values(scheme, x, s.means, s.sds, np.arange(s.p), B,
+                                          stream.child(use))
+
+
+def _critical(rule: Rule, x, s: MomentSummary, alpha, beta, B, stream, full):
     """The pipeline behind every method: ``(critical value, selected columns)``.
 
-    ``stream`` may be ``None`` for the analytic scheme, which draws nothing.
+    ``full(scheme, B, use)`` returns ``B`` all-column draws of the scheme,
+    for the selection threshold (``use == "select"``) or a one-step cutoff
+    (``"crit"``): :func:`_fresh` for a lone test, one shared pass per scheme
+    in :func:`run_tests`.  A cutoff over a selected set draws on the
+    ``crit`` child of ``stream``.  ``stream`` may be ``None`` for the
+    analytic scheme, which draws nothing.
     """
-    selected = _select(rule, x, s, beta, B, stream)
-    return _cutoff(rule, x, s, selected, alpha, beta, B, stream), selected
+    selected = _select(rule, s, beta, B, full)
+    return _cutoff(rule, x, s, selected, alpha, beta, B, stream, full), selected
 
 
 def run_test(sample, spec: CriticalValueSpec, *, stream: SeededStream | None = None,
@@ -266,8 +293,42 @@ def run_test(sample, spec: CriticalValueSpec, *, stream: SeededStream | None = N
     rule = METHODS[spec.method]
     if stream is None and rule.scheme != "SN":
         stream = SeededStream(spec.seed)
-    cv, selected = _critical(rule, x, s, spec.alpha, spec.beta, spec.replications, stream)
+    cv, selected = _critical(rule, x, s, spec.alpha, spec.beta, spec.replications, stream,
+                             _fresh(x, s, stream))
     diagnostics = None
     if include_diagnostics and not s.any_degenerate():
         diagnostics = _diagnostics(x, s)
     return decide(s, cv, selected, spec, diagnostics=diagnostics)
+
+
+def run_tests(sample, specs, stream: SeededStream) -> list[TestDecision]:
+    """Run every test in ``specs`` on one sample; one decision per spec, in order.
+
+    The sample is validated and summarized once.  For each scheme and ``B``
+    the all-column draws are computed once, on ``stream.child(scheme)``
+    (``"MB"`` or ``"EB"``), and serve both the one-step cutoffs and the
+    two-step selection thresholds.  A cutoff over a selected set draws on
+    ``stream.child(method).child("crit")``, so selection and cutoff within
+    one method still use disjoint randomness.  Because the shared draws are
+    keyed by the scheme, a method's decision does not depend on which other
+    methods are listed, or in what order.  The analytic and hybrid methods
+    decide as :func:`run_test` does on ``stream.child(method)``; the
+    one-step and two-step bootstrap methods draw differently from it.
+    """
+    x = as_sample_matrix(sample)
+    s = summarize(x)
+    draw = _fresh(x, s, stream)
+    passes = {}
+
+    def full(scheme, B, use):
+        # one pass per scheme and B, on stream.child(scheme), whatever the use
+        if (scheme, B) not in passes:
+            passes[scheme, B] = draw(scheme, B, scheme)
+        return passes[scheme, B]
+
+    decisions = []
+    for spec in specs:
+        cv, selected = _critical(METHODS[spec.method], x, s, spec.alpha, spec.beta,
+                                 spec.replications, stream.child(spec.method), full)
+        decisions.append(decide(s, cv, selected, spec))
+    return decisions

@@ -120,12 +120,16 @@ class MomentSummary:
     """Per-column sample means and n-divisor standard deviations.
 
     A column is degenerate exactly when its sd is 0; :func:`summarize` gives
-    sd 0 to constant columns and to no other.
+    sd 0 to constant columns and to no other.  ``exact_scores`` holds the
+    studentized scores :func:`summarize` takes from the power-of-two-scaled
+    columns, which keep every bit where the means and sds are subnormal;
+    a summary built from means and sds alone leaves it ``None``.
     """
 
     means: np.ndarray
     sds: np.ndarray
     n: int
+    exact_scores: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -167,24 +171,33 @@ def summarize(sample) -> MomentSummary:
     xf = np.asfortranarray(x)
     hi, lo = x.max(axis=0), x.min(axis=0)
     # Both moments are taken from the columns scaled by 2^-e, so neither the
-    # sum behind the mean nor the squares overflow; the scaling is exact.
+    # sum behind the mean, the deviations nor their squares overflow; the
+    # scaling is exact.
     e = np.frexp(np.maximum(hi, -lo))[1]
-    means = np.ldexp(np.ldexp(xf, -e).mean(axis=0), e)
-    sds = _column_sds(xf, means, e)
+    xs = np.ldexp(xf, -e)
+    ms = xs.mean(axis=0)
+    ss = np.sqrt(np.mean((xs - ms) ** 2, axis=0))
+    means, sds = np.ldexp(ms, e), np.ldexp(ss, e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.sqrt(n) * ms / ss
     # A literally constant column must come out exactly (mean c, sd 0);
     # the centered two-pass formula can leave rounding residue there.
     constant = hi == lo
     if constant.any():
         means = np.where(constant, x[0], means)
         sds = np.where(constant, 0.0, sds)
-    return MomentSummary(means=means, sds=sds, n=n)
+    return MomentSummary(means=means, sds=sds, n=n, exact_scores=scores)
 
 
 def studentized_scores(summary: MomentSummary) -> np.ndarray:
     """``sqrt(n) * mean_j / sd_j`` per column; NaN where ``sd_j == 0``."""
-    root_n = np.sqrt(summary.n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = root_n * summary.means / summary.sds
+    scores = summary.exact_scores
+    if scores is None:
+        # Mean and sd are scaled by one power of two, exactly, so that
+        # ``sqrt(n) * mean`` cannot overflow when the sd is near the float maximum.
+        k = np.frexp(summary.sds)[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = np.sqrt(summary.n) * np.ldexp(summary.means, -k) / np.ldexp(summary.sds, -k)
     return np.where(summary.degenerate, np.nan, scores)
 
 
@@ -244,7 +257,10 @@ def regularity_diagnostics(sample) -> RegularityDiagnostics:
 
 def _diagnostics(x: np.ndarray, s: MomentSummary) -> RegularityDiagnostics:
     """The diagnostics of a validated sample ``x`` from its summary ``s`` (no zero sds)."""
-    z = (x - s.means) / s.sds
+    # Standardized from the columns scaled by 2^-k, k the exponent of the sd,
+    # so the deviations cannot overflow; the scaling is exact.
+    k = np.frexp(s.sds)[1]
+    z = (np.ldexp(x, -k) - np.ldexp(s.means, -k)) / np.ldexp(s.sds, -k)
     z2 = z * z
     m3 = float(np.mean(np.abs(z) ** 3, axis=0).max() ** (1 / 3))
     m4 = float(np.mean(z2 * z2, axis=0).max() ** 0.25)

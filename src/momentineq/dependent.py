@@ -102,9 +102,14 @@ def bmb_test(sample, plan: BlockPlan, alpha: float, B: int,
             f"block plan is for n={plan.n} but sample has n={x.shape[0]} rows"
         )
     s = summarize(x)
-    xc = x - s.means
+    # The block sums are formed from the sample scaled by one power of two
+    # 2^-k, so neither they nor their weighted sums overflow; the cutoff is
+    # scaled back, and the scaling is exact.
+    k = int(np.frexp(max(x.max(), -x.min()))[1])
+    xc = np.ldexp(x, -k)
+    xc -= np.ldexp(s.means, -k)
     block_sums = np.stack([xc[a:b].sum(axis=0) for a, b in plan.large_blocks])
     scale = 1.0 / math.sqrt(plan.m * plan.q)
     draws = _rowmax_draws(_normal_weights, block_sums, B, stream) * scale
-    cv = _quantile(draws, 1.0 - alpha)
+    cv = math.ldexp(_quantile(draws, 1.0 - alpha), k)
     return decide(MomentSummary(s.means, np.ones(s.p), s.n), cv, range(1, s.p + 1), "bmb")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import _critical, run_test
+from .bootstrap import _critical, _fresh, run_test
 from .core import (
     METHODS,
     CriticalValueSpec,
@@ -158,5 +158,5 @@ def approximate_two_step_test(approx: ApproxSample, spec: CriticalValueSpec, *,
     if stream is None:
         stream = SeededStream(spec.seed)
     cv, selected = _critical(METHODS[spec.method], x, s, spec.alpha, spec.beta,
-                             spec.replications, stream)
+                             spec.replications, stream, _fresh(x, s, stream))
     return decide(s, cv, selected, spec)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
-from .bootstrap import run_test
+from .bootstrap import run_tests
 from .core import CriticalValueSpec, check_sizes
 from .gaussian import SeededStream, open_uniform
 
@@ -247,18 +247,18 @@ def _rejections(mc: McConfig, samples) -> np.ndarray:
     """Reject indicators, shape ``(sims, samples per replication, methods)``.
 
     The one replication loop: replication ``k`` runs on substream
-    ``(seed, "mc", k)``, ``samples(rep)`` yields its data sets, and every
-    method runs on each.
+    ``(seed, "mc", k)``, ``samples(rep)`` yields its data sets, and
+    :func:`~momentineq.bootstrap.run_tests` runs every method on each.  It
+    summarizes the sample once and draws the all-column bootstrap values
+    once per scheme, on ``(seed, "mc", k, scheme)``; the one-step cutoffs
+    and the two-step selection thresholds share them.
     """
     specs = mc.specs()
     root = SeededStream(mc.seed)
 
     def replication(k):
         rep = root.child("mc", k)
-        return [
-            [run_test(x, spec, stream=rep.child(spec.method)).reject for spec in specs]
-            for x in samples(rep)
-        ]
+        return [[d.reject for d in run_tests(x, specs, rep)] for x in samples(rep)]
 
     if mc.threads is not None and mc.threads > 1:
         # each pool thread calls BLAS; BLAS threads of their own would only
@@ -274,9 +274,15 @@ def run_mc(design: DesignSpec, mc: McConfig) -> McResult:
     """Rejection frequency of every requested method over ``mc.sims`` replications.
 
     Each replication draws one sample on substream ``(seed, "mc", k)`` and
-    runs every method on it, with each method's bootstrap randomness nested
-    under the replication.  Sharing the sample across methods reduces the
-    variance of method comparisons.  Results are identical under any
+    runs every method on it, with the bootstrap randomness nested under the
+    replication: the all-column draws of each scheme live on
+    ``(seed, "mc", k, scheme)`` and are shared by that scheme's one-step
+    cutoff and two-step selection, and a cutoff over a selected set draws on
+    ``(seed, "mc", k, method, "crit")``.  A method's rate therefore does not
+    depend on which other methods run, though for ``mb1``, ``eb1``, ``mb2``
+    and ``eb2`` it differs from a lone ``run_test`` on
+    ``(seed, "mc", k, method)``.  Sharing the sample across methods reduces
+    the variance of method comparisons.  Results are identical under any
     ``threads`` setting.
     """
     t0 = time.perf_counter()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import SCHEMES, _cutoff, _quantile, _select, _values
+from .bootstrap import SCHEMES, _cutoff, _fresh, _quantile, _select, _values
 from .core import (
     MomentSummary,
     Rule,
@@ -153,7 +153,8 @@ def _sets(data, g_summary, cfg, stream):
     ``-3 c_grad(beta - phi)`` respectively; both gradient thresholds come
     from one shared set of gradient bootstrap draws.
     """
-    j_hat = _select(cfg.rule, data.g, g_summary, cfg.beta, cfg.replications, stream)
+    j_hat = _select(cfg.rule, g_summary, cfg.beta, cfg.replications,
+                    _fresh(data.g, g_summary, stream))
     flat = _flat_gradient_summary(data)
     phi = cfg.resolve_phi(data.n)
     vals = _gradient_draws(data, flat, cfg, stream.child("grad-select"))
@@ -184,7 +185,9 @@ def three_step_test(data: ParametricMomentData, cfg: ThreeStepConfig) -> TestDec
     cv_set = j_hat & j_dprime
     # over no columns the cutoff is 0 and nothing is drawn
     cv = _cutoff(cfg.rule, data.g, g_summary, cv_set if j_prime else frozenset(),
-                 cfg.alpha, cfg.beta, cfg.replications, stream)
+                 cfg.alpha, cfg.beta, cfg.replications, stream,
+                 _fresh(data.g, g_summary, stream))
     keep = np.asarray(sorted(j_prime), dtype=np.intp) - 1
-    kept = MomentSummary(g_summary.means[keep], g_summary.sds[keep], g_summary.n)
+    kept = MomentSummary(g_summary.means[keep], g_summary.sds[keep], g_summary.n,
+                         g_summary.exact_scores[keep])
     return decide(kept, cv, cv_set, f"3s-{cfg.scheme.lower()}", sets=sets)

@@ -21,6 +21,7 @@ from momentineq import (
     make_blocks,
     mb_draws,
     run_test,
+    run_tests,
     sn_one_step,
     sn_select,
     summarize,
@@ -450,3 +451,71 @@ class TestMethodTable:
         cv, kept = self.public(method, x, stream)
         assert d.critical_value == cv
         assert d.selected == tuple(sorted(kept))
+
+
+class TestRunTests:
+    """``run_tests`` shares one all-column pass per scheme among the methods on a sample.
+
+    The pass lives on the scheme's child of the stream; a cutoff over a
+    selected set draws on the method's ``crit`` child, as in ``run_test``.
+    """
+
+    ALPHA, BETA, B = 0.05, 0.004, 300
+
+    @pytest.fixture(scope="class")
+    def x(self):
+        rng = np.random.default_rng(21)
+        return rng.normal(size=(200, 8)) + [0.1, -0.5, 0.0, -2.0, 0.2, -1.0, 0.0, -0.3]
+
+    def spec(self, method):
+        return CriticalValueSpec(method, alpha=self.ALPHA, beta=self.BETA,
+                                 replications=self.B, seed=3)
+
+    def run(self, x, methods, rep):
+        return dict(zip(methods, run_tests(x, [self.spec(m) for m in methods], rep)))
+
+    @staticmethod
+    def all_columns(x, scheme, B, stream):
+        draws = mb_draws if scheme == "MB" else eb_draws
+        return draws(x, summarize(x), None, B, stream.child(scheme)).values
+
+    def test_analytic_and_hybrid_decide_as_run_test(self, x):
+        rep = SeededStream(5).child("mc", 0)
+        methods = ("sn1", "sn2", "hyb-mb", "hyb-eb", "mb1", "mb2", "eb1", "eb2")
+        got = self.run(x, methods, rep)
+        for m in ("sn1", "sn2", "hyb-mb", "hyb-eb"):
+            assert got[m] == run_test(x, self.spec(m), stream=rep.child(m))
+
+    def test_one_step_cutoffs_are_quantiles_of_the_shared_pass(self, x):
+        rep = SeededStream(5).child("mc", 1)
+        got = self.run(x, ("mb1", "eb1"), rep)
+        for m, scheme in (("mb1", "MB"), ("eb1", "EB")):
+            vals = self.all_columns(x, scheme, self.B, rep)
+            assert got[m].critical_value == bootstrap._quantile(vals, 1 - self.ALPHA)
+            assert got[m].selected == tuple(range(1, 9))
+
+    def test_two_step_selection_reads_the_same_pass(self, x):
+        rep = SeededStream(5).child("mc", 2)
+        got = self.run(x, ("mb1", "mb2"), rep)
+        vals = self.all_columns(x, "MB", self.B, rep)
+        kept = threshold_select(summarize(x), -2.0 * bootstrap._quantile(vals, 1 - self.BETA))
+        assert 0 < len(kept) < 8
+        assert got["mb2"].selected == tuple(sorted(kept))
+
+    def test_full_selection_keeps_run_tests_cutoff(self):
+        x = sample_with_scores([0.0, 0.3, 0.8, 1.5])
+        rep = SeededStream(5).child("mc", 3)
+        for m in ("mb2", "eb2"):
+            got = self.run(x, (m,), rep)[m]
+            lone = run_test(x, self.spec(m), stream=rep.child(m))
+            assert got.selected == lone.selected == (1, 2, 3, 4)
+            assert got.critical_value == lone.critical_value
+
+    def test_other_methods_and_their_order_change_nothing(self, x):
+        rep = SeededStream(5).child("mc", 4)
+        alone = self.run(x, ("mb2",), rep)["mb2"]
+        assert self.run(x, ("eb1", "mb1", "mb2"), rep)["mb2"] == alone
+        methods = ("sn2", "eb2", "mb1", "hyb-eb", "mb2", "eb1")
+        base = self.run(x, methods, rep)
+        for perm in itertools.islice(itertools.permutations(methods), 0, 720, 97):
+            assert self.run(x, perm, rep) == base

@@ -181,6 +181,50 @@ class TestOverflowingColumnSums:
             assert isinstance(scaled[key], float)
             assert abs(scaled[key] - scale * unit[key]) <= 1e-9 * scale * abs(unit[key])
 
+    def test_bmb_at_the_top_of_the_range_is_the_unit_scale_times_the_scale(self, tmp_path, capsys):
+        # the weighted block sums of the unscaled sample overflow at 2^1020
+        scale = 2.0 ** 1020
+        unit, scaled = self.unit_and_scaled(tmp_path, capsys, ["bmb"], scale)
+        assert scaled["reject"] == unit["reject"]
+        # the printed values carry 12 digits; the library's carry every bit
+        x = np.random.default_rng(0).normal(size=(200, 5)) + 0.2
+        plan = momentineq.make_blocks(200, *momentineq.default_block_lengths(200))
+        a, b = (momentineq.bmb_test(m, plan, 0.05, 1000, momentineq.SeededStream(0))
+                for m in (x, x * scale))
+        assert b.reject == a.reject
+        assert b.statistic == scale * a.statistic
+        assert b.critical_value == scale * a.critical_value
+
+
+class TestSpanningColumn:
+    """A column spanning the float range in both signs: its deviations overflow unscaled."""
+
+    @staticmethod
+    def sample():
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(100, 3))
+        sign = np.where(np.arange(100) < 20, 1.0, -1.0)
+        x[:, 1] = sign * 1.6e308 * rng.uniform(0.9, 1.0, size=100)
+        return x
+
+    def run(self, tmp_path, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = run_json(argv, write_csv(tmp_path / "span.csv", self.sample()), capsys)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        return out
+
+    def test_test_gives_a_finite_statistic(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, ["test", "--method", "sn1"])
+        assert isinstance(out["statistic"], float) and math.isfinite(out["statistic"])
+        assert isinstance(out["critical_value"], float)
+        assert out["reject"] is (out["statistic"] > out["critical_value"])
+
+    def test_diagnose_gives_finite_values(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, ["diagnose"])
+        for key in ("m3", "m4", "bn"):
+            assert isinstance(out[key], float) and math.isfinite(out[key])
+
 
 @pytest.mark.parametrize("argv", [
     ["test", "--method", "mb1"],

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -169,6 +169,34 @@ class TestStatistic:
     def test_degenerate_positive_mean_bound_is_inf(self):
         s = summarize([[1.0, 0.0], [1.0, 1.0]])
         assert max_statistic(s) == np.inf
+
+    # Integer entries below 2^10 times 2^e stay exact and finite for e from
+    # -1022 to 1014, so the scaled sample is the unit-scale one up to a power
+    # of two.  The example is a column in both signs at the top of the range,
+    # whose unscaled deviations overflow.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.integers(2, 12), st.integers(1, 5)).flatmap(
+            lambda shape: arrays(np.float64, shape, elements=st.integers(-1023, 1023))
+        ),
+        st.integers(-1022, 1014),
+    )
+    @example(x=np.array([[1023.0]] * 11 + [[-1023.0]]), e=1014)
+    def test_power_of_two_scales_keep_the_statistic_bit_for_bit(self, x, e):
+        scaled = max_statistic(summarize(x * 2.0 ** e))
+        assert not np.isnan(scaled)
+        assert scaled == max_statistic(summarize(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.integers(2, 12), st.integers(1, 4)).flatmap(
+            lambda shape: arrays(
+                np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False)
+            )
+        )
+    )
+    def test_never_nan_over_the_float_range(self, x):
+        assert not np.isnan(max_statistic(summarize(x)))
 
 
 class TestExceeds:

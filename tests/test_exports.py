@@ -113,3 +113,17 @@ def test_blas_threads_are_set_only_by_the_pool_pin():
             if isinstance(name, str) and "num_threads" in name.lower():
                 users.add((path.stem, owner.get(id(node), "<module>")))
     assert users == {("simulate", "_openblas")}
+
+
+def test_the_monte_carlo_loop_runs_every_method_through_run_tests():
+    path = Path(momentineq.__file__).parent / "simulate.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname})
+    assert "run_tests" in names
+    assert "run_test" not in names

@@ -18,7 +18,7 @@ from momentineq import (
     power_sweep,
     run_mc,
 )
-from momentineq import simulate
+from momentineq import bootstrap, core, simulate
 from momentineq.gaussian import open_uniform
 from momentineq.simulate import _apply_ar, _apply_equi, _innovations
 
@@ -182,6 +182,26 @@ class TestRunMc:
                 # alpha + 0.03 plus two binomial standard errors of slack
                 assert result.rates[m] <= 0.05 + 0.03 + 2 * 0.0155, (design_id, m)
 
+    def test_one_replication_shares_a_pass_per_scheme_and_one_summary(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_mb_values", "_eb_values"):
+            monkeypatch.setattr(bootstrap, name, counted(name, getattr(bootstrap, name)))
+        summarize = counted("summarize", core.summarize)
+        for module in (core, bootstrap):
+            monkeypatch.setattr(module, "summarize", summarize)
+        # design 1 keeps every column binding, so both selections are nonempty
+        design = DesignSpec(1, 60, 5, 0.0, "uniform")
+        run_mc(design, McConfig(sims=1, bootstrap_reps=200,
+                                methods=("mb1", "mb2", "eb1", "eb2"), seed=3))
+        assert sorted(calls) == ["_eb_values"] * 2 + ["_mb_values"] * 2 + ["summarize"]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(sims=0)
@@ -241,15 +261,15 @@ def blas():
 
 
 def blas_counts(monkeypatch, get):
-    """The BLAS thread count seen by every ``run_test`` call of the harness."""
+    """The BLAS thread count seen by every ``run_tests`` call of the harness."""
     seen = []
-    original = simulate.run_test
+    original = simulate.run_tests
 
     def recorded(*args, **kwargs):
         seen.append(get())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "run_test", recorded)
+    monkeypatch.setattr(simulate, "run_tests", recorded)
     return seen
 
 
@@ -272,7 +292,7 @@ class TestBlasPin:
         def failing(*args, **kwargs):
             raise RuntimeError("replication failed")
 
-        monkeypatch.setattr(simulate, "run_test", failing)
+        monkeypatch.setattr(simulate, "run_tests", failing)
         with pytest.raises(RuntimeError, match="replication failed"):
             run_mc(self.design, McConfig(sims=4, methods=("sn1",), threads=2))
         assert blas() == 2
@@ -281,12 +301,12 @@ class TestBlasPin:
         started = {seed: threading.Event() for seed in (1, 2)}
         release = {seed: threading.Event() for seed in (1, 2)}
 
-        def held(x, spec, stream):
+        def held(x, specs, stream):
             started[stream.master_seed].set()
             release[stream.master_seed].wait(30)
-            return SimpleNamespace(reject=False)
+            return [SimpleNamespace(reject=False) for _ in specs]
 
-        monkeypatch.setattr(simulate, "run_test", held)
+        monkeypatch.setattr(simulate, "run_tests", held)
         runs = {
             seed: threading.Thread(target=run_mc, args=(
                 self.design, McConfig(sims=1, methods=("sn1",), seed=seed, threads=2)))
