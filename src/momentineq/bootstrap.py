@@ -29,11 +29,21 @@ draws on the method's own ``crit`` child.  Replication ``b`` consumes the
 draw independent of the restriction set: restricting to a subset of
 columns, duplicating a column, or permuting columns never changes the
 randomness a replication sees.
+
+Memory: every bootstrap pass builds its ``k x n`` weight block (multipliers
+or resampling counts) and the ``k x 64`` product of each column block in
+workspaces that belong to the calling thread and are reused by its next
+pass, so a warm pass maps no fresh pages.  The weight block is bounded by
+``_CHUNK_SCALARS`` scalars (one row when a row alone is larger), and the
+product by ``64 / n`` times that.  A thread keeps its largest workspaces
+until it ends; they never leave this module, and every array returned to a
+caller is its own.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +88,16 @@ _CHUNK_SCALARS = 4_000_000
 # rely on bit for bit.
 _COL_BLOCK = 64
 
+# The weight builders fill a block in runs of whole rows of about this many
+# scalars, so their temporaries stay small.  Philox yields one output per
+# uniform, and bounded integers keep their spare 32-bit half-word in the bit
+# generator, so the piece boundaries move no bit.
+_PIECE_SCALARS = 32_768
+
+# Per-thread workspaces of the draw loop (see _buffer): the weight block and
+# the per-block product.  Threads of a pool never share one.
+_workspace = threading.local()
+
 
 @dataclass(frozen=True)
 class BootstrapDraws:
@@ -97,9 +117,24 @@ def _columns_mask(J, p: int) -> np.ndarray:
     return np.asarray(cols, dtype=np.intp) - 1
 
 
+def _buffer(name: str, shape) -> np.ndarray:
+    """This thread's float64 workspace ``name``, viewed as ``shape``.
+
+    The buffer grows to the largest shape asked for and is then reused, so a
+    pass writes into pages already mapped instead of faulting in fresh ones.
+    """
+    size = math.prod(shape)
+    buf = getattr(_workspace, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_workspace, name, buf)
+    return buf[:size].reshape(shape)
+
+
 def _blocked_rowmax(weights: np.ndarray, g: np.ndarray, shift=None) -> np.ndarray:
     """Row max of ``weights @ g`` (minus ``shift``) in fixed-width column blocks."""
     n, c = g.shape
+    prod = _buffer("prod", (weights.shape[0], _COL_BLOCK))
     out = None
     for s in range(0, c, _COL_BLOCK):
         block = g[:, s:s + _COL_BLOCK]
@@ -108,34 +143,53 @@ def _blocked_rowmax(weights: np.ndarray, g: np.ndarray, shift=None) -> np.ndarra
             padded = np.zeros((n, _COL_BLOCK))
             padded[:, :w] = block
             block = padded
-        prod = (weights @ block)[:, :w]
+        np.matmul(weights, block, out=prod)
+        vals = prod[:, :w]
         if shift is not None:
-            prod = prod - shift[s:s + w]
-        m = prod.max(axis=1)
-        out = m if out is None else np.maximum(out, m)
+            vals -= shift[s:s + w]
+        m = vals.max(axis=1)
+        out = m if out is None else np.maximum(out, m, out=out)
     return out
 
 
-def _normal_weights(gen, k: int, rows: int) -> np.ndarray:
-    """``k`` replications of i.i.d. N(0,1) multipliers, one per row."""
-    return ndtri(open_uniform(gen, (k, rows)))
+def _row_pieces(out: np.ndarray):
+    """``out`` in runs of whole rows of about ``_PIECE_SCALARS`` scalars (one row at least)."""
+    step = max(1, _PIECE_SCALARS // out.shape[1])
+    return (out[s:s + step] for s in range(0, out.shape[0], step))
 
 
-def _count_weights(gen, k: int, rows: int) -> np.ndarray:
-    """``k`` replications of resampling counts: how often each row is drawn."""
-    idx = gen.integers(0, rows, size=(k, rows))
-    flat = (idx + (np.arange(k) * rows)[:, None]).ravel()
-    return np.bincount(flat, minlength=k * rows).reshape(k, rows).astype(np.float64)
+def _normal_weights(gen, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (replications x rows) with i.i.d. N(0,1) multipliers, one per row."""
+    for piece in _row_pieces(out):
+        ndtri(open_uniform(gen, piece.shape), out=piece)
+    return out
+
+
+def _count_weights(gen, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (replications x rows) with resampling counts: how often each row is drawn."""
+    rows = out.shape[1]
+    for piece in _row_pieces(out):
+        idx = gen.integers(0, rows, size=piece.shape)
+        idx += np.arange(0, piece.size, rows)[:, None]
+        piece.reshape(-1)[:] = np.bincount(idx.reshape(-1), minlength=piece.size)
+    return out
 
 
 def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream,
                   shift=None) -> np.ndarray:
-    """``B`` draws of the row max of ``weights(gen, k, rows) @ target`` (minus ``shift``).
+    """``B`` draws of the row max of ``weights(gen, block) @ target`` (minus ``shift``).
 
     The one draw loop of every bootstrap.  Its chunk height ``k`` depends
     only on the row count and ``B``, never on the columns, so the column
     invariances hold bit for bit; the BLAS kernel may depend on ``k``, so
     chunked draws can differ from unchunked ones in the last bits.
+
+    ``weights`` fills each ``k x rows`` block in place.  The block lives in
+    this thread's workspace, at most ``max(_CHUNK_SCALARS, rows)`` scalars,
+    and is reused by the next chunk and the next pass; like the product
+    workspace of :func:`_blocked_rowmax`, it is never returned.  The builders
+    consume the generator in the block's row-major order, piece by piece, so
+    pieces draw the same bits as one call over the whole block.
     """
     rows = target.shape[0]
     gen = stream.generator()
@@ -143,7 +197,8 @@ def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream,
     step = max(1, min(B, _CHUNK_SCALARS // max(rows, 1)))
     for start in range(0, B, step):
         stop = min(start + step, B)
-        out[start:stop] = _blocked_rowmax(weights(gen, stop - start, rows), target, shift)
+        block = weights(gen, _buffer("weights", (stop - start, rows)))
+        out[start:stop] = _blocked_rowmax(block, target, shift)
     return out
 
 

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import ndtri
 from scipy.stats import kstest
 
 from momentineq import (
@@ -27,6 +29,7 @@ from momentineq import (
     summarize,
 )
 from momentineq import bootstrap
+from momentineq.gaussian import open_uniform
 from momentineq.sn import threshold_select
 from score_samples import sample_with_scores
 
@@ -141,9 +144,9 @@ class TestChunkedInvariances:
     def test_chunks_are_seven_replications_and_a_short_tail(self, chunk7):
         heights = []
 
-        def weights(gen, k, rows):
-            heights.append(k)
-            return bootstrap._normal_weights(gen, k, rows)
+        def weights(gen, out):
+            heights.append(out.shape[0])
+            return bootstrap._normal_weights(gen, out)
 
         chunk7(self.N)
         bootstrap._rowmax_draws(weights, np.ones((self.N, 3)), self.B, SeededStream(1))
@@ -177,6 +180,91 @@ class TestChunkedInvariances:
         chunk7(self.PLAN.m)
         a, b = (bmb_test(x[:, c], self.PLAN, 0.05, self.B, SeededStream(8)) for c in (cols, other))
         assert a.critical_value == b.critical_value
+
+
+class TestPiecewiseWeights:
+    """The weight builders fill this thread's workspace in row pieces, with the bits of one call.
+
+    The references build the whole ``k x rows`` block in one call, as the
+    builders did before they wrote into a workspace.  The generator must
+    also be left in the same state, so the next chunk draws the same bits.
+    """
+
+    @staticmethod
+    def state(gen):
+        """The bit generator's state, the spare 32-bit half-word included, as plain lists."""
+        def plain(v):
+            if isinstance(v, dict):
+                return {key: plain(item) for key, item in v.items()}
+            return v.tolist() if isinstance(v, np.ndarray) else v
+        return plain(gen.bit_generator.state)
+
+    @staticmethod
+    def mb_reference(gen, k, rows):
+        return ndtri(open_uniform(gen, (k, rows)))
+
+    @staticmethod
+    def eb_reference(gen, k, rows):
+        idx = gen.integers(0, rows, size=(k, rows))
+        flat = (idx + (np.arange(k) * rows)[:, None]).ravel()
+        return np.bincount(flat, minlength=k * rows).reshape(k, rows).astype(np.float64)
+
+    @pytest.mark.parametrize("scheme", ["MB", "EB"])
+    @pytest.mark.parametrize("piece, k, rows", [
+        (10, 9, 4),       # two rows a piece, the last piece one row: a split mid-block
+        (10, 5, 25),      # a row longer than a piece: one row a piece
+        (10, 12, 1),      # one-row samples: ten replications a piece
+        (10, 1, 3),       # one replication, less than a piece
+        (32_768, 200, 400),  # the default piece: pieces of 81, 81 and 38 rows
+    ], ids=["split", "long-rows", "one-row", "one-replication", "default"])
+    def test_pieces_draw_the_bits_of_one_call(self, monkeypatch, scheme, piece, k, rows):
+        monkeypatch.setattr(bootstrap, "_PIECE_SCALARS", piece)
+        build, reference = {
+            "MB": (bootstrap._normal_weights, self.mb_reference),
+            "EB": (bootstrap._count_weights, self.eb_reference),
+        }[scheme]
+        gen, ref_gen = SeededStream(31).generator(), SeededStream(31).generator()
+        out = np.full((k, rows), np.nan)
+        assert build(gen, out) is out
+        assert out.tobytes() == reference(ref_gen, k, rows).tobytes()
+        assert self.state(gen) == self.state(ref_gen)
+        assert gen.bit_generator.random_raw() == ref_gen.bit_generator.random_raw()
+
+    @pytest.mark.parametrize("r", [400, 2 ** 31 + 1])
+    def test_bounded_integers_are_chunk_invariant(self, r):
+        # Lemire's method rejects about half the draws at 2^31 + 1; the spare
+        # 32-bit half-word is kept in the bit generator across calls
+        whole, parts = SeededStream(2).generator(), SeededStream(2).generator()
+        a = whole.integers(0, r, size=1001)
+        b = np.concatenate([parts.integers(0, r, size=m) for m in (1, 2, 397, 1, 600)])
+        assert a.tobytes() == b.tobytes()
+        assert self.state(whole) == self.state(parts)
+
+    @pytest.mark.parametrize("draws", [mb_draws, eb_draws])
+    def test_results_never_alias_the_workspace(self, gauss_sample, draws):
+        s = summarize(gauss_sample)
+        a = draws(gauss_sample, s, None, 300, SeededStream(1))
+        kept = a.values.copy()
+        b = draws(gauss_sample, s, None, 300, SeededStream(2))
+        assert a.values.tobytes() == kept.tobytes()
+        assert not np.shares_memory(a.values, b.values)
+        for buf in vars(bootstrap._workspace).values():
+            assert not np.shares_memory(a.values, buf) and not np.shares_memory(b.values, buf)
+
+    @pytest.mark.parametrize("draws", [mb_draws, eb_draws])
+    def test_warm_pass_allocates_no_block_sized_buffer(self, draws):
+        B, n = 1000, 400
+        x = np.random.default_rng(4).normal(size=(n, 3))
+        s = summarize(x)
+        draws(x, s, None, B, SeededStream(1))  # sizes this thread's workspace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            draws(x, s, None, B, SeededStream(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < B * n * 8
 
 
 class TestEmpiricalQuantile:

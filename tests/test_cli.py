@@ -1,6 +1,8 @@
 """Command-line interface: formats, determinism, and the exit-code contract."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -627,6 +629,35 @@ TEXTS = st.tuples(
 def test_read_matrix_matches_the_row_loop_on_generated_csv(tmp_path_factory, text, header):
     path = write_text(tmp_path_factory.getbasetemp() / "generated.csv", text)
     assert outcome(read_matrix, path, header) == outcome(reference_read_matrix, path, header)
+
+
+COMMANDS = st.sampled_from([
+    ["test", "--method", "sn1"],
+    ["test", "--method", "mb1", "--reps", "200"],
+    ["diagnose"],
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=TEXTS, header=st.booleans(), command=COMMANDS)
+def test_generated_csv_exits_with_a_contract_code_and_one_line(tmp_path_factory, text, header,
+                                                               command):
+    # 0 success, 2 input error, 3 unmet precondition, 64 usage error; a failure
+    # says one line on stderr, never a traceback
+    path = write_text(tmp_path_factory.getbasetemp() / "generated-main.csv", text)
+    argv = command + ["--input", path] + (["--header"] if header else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    message = err.getvalue()
+    assert rc in (0, 2, 3, 64), (rc, message)
+    assert message.count("\n") <= 1 and "Traceback" not in message, message
+    if rc == 0:
+        assert message == ""
+        json.loads(out.getvalue())
 
 
 class TestReadMatrixFastPath:

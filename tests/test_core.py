@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -118,7 +118,12 @@ class TestScores:
         matrices(min_rows=3, max_rows=10, min_cols=2, max_cols=4),
         st.floats(0.01, 100, allow_nan=False),
     )
+    # a subnormal column that halving does not scale: [0, 0, 1e-323]
+    @example(x=np.array([[0.0, 1.0], [5e-324, 2.0], [1.5e-323, 4.0]]), lam=0.5)
     def test_general_scaling_close(self, x, lam):
+        # the premise: x * lam is a scaled copy of x, which subnormal products are not
+        y = np.abs(x * lam)
+        assume(not np.any((y > 0) & (y < np.finfo(float).tiny)))
         s = summarize(x)
         scaled = summarize(x * lam)
         # near-ties can collapse to a constant column under scaling

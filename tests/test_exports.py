@@ -86,10 +86,19 @@ def test_decisions_are_built_only_by_decide():
 
 
 def test_matrix_products_are_taken_only_by_the_blocked_rowmax():
+    # ``@``, ``@=`` and calls of ``matmul`` or ``dot`` (``np.matmul``, ``a.dot``)
     users = []
     for path, tree, owner in package_sources():
         for node in ast.walk(tree):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                product = isinstance(node.op, ast.MatMult)
+            elif isinstance(node, ast.Call):
+                f = node.func
+                product = (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in (
+                    "matmul", "dot")
+            else:
+                product = False
+            if product:
                 users.append((path.stem, owner.get(id(node), "<module>")))
     assert users == [("bootstrap", "_blocked_rowmax")]
 
