@@ -35,9 +35,10 @@ or resampling counts) and the ``k x 64`` product of each column block in
 workspaces that belong to the calling thread and are reused by its next
 pass, so a warm pass maps no fresh pages.  The weight block is bounded by
 ``_CHUNK_SCALARS`` scalars (one row when a row alone is larger), and the
-product by ``64 / n`` times that.  A thread keeps its largest workspaces
-until it ends; they never leave this module, and every array returned to a
-caller is its own.
+product by ``64 / n`` times that.  A thread keeps workspaces of at most
+``_CHUNK_SCALARS`` scalars until it ends (a larger block lives for its pass
+only); they never leave this module, and every array returned to a caller is
+its own.
 """
 
 from __future__ import annotations
@@ -56,8 +57,10 @@ from .core import (
     Rule,
     TestDecision,
     _diagnostics,
+    _scaled_columns,
     as_sample_matrix,
     decide,
+    studentized_scores,
     summarize,
 )
 from .errors import DegenerateColumnError
@@ -120,10 +123,13 @@ def _columns_mask(J, p: int) -> np.ndarray:
 def _buffer(name: str, shape) -> np.ndarray:
     """This thread's float64 workspace ``name``, viewed as ``shape``.
 
-    The buffer grows to the largest shape asked for and is then reused, so a
-    pass writes into pages already mapped instead of faulting in fresh ones.
+    The buffer grows to the largest shape asked for, up to ``_CHUNK_SCALARS``
+    scalars, and is then reused, so a pass writes into pages already mapped
+    instead of faulting in fresh ones; a larger block is a fresh array.
     """
     size = math.prod(shape)
+    if size > _CHUNK_SCALARS:
+        return np.empty(shape)
     buf = getattr(_workspace, name, None)
     if buf is None or buf.size < size:
         buf = np.empty(size)
@@ -185,9 +191,9 @@ def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream,
     chunked draws can differ from unchunked ones in the last bits.
 
     ``weights`` fills each ``k x rows`` block in place.  The block lives in
-    this thread's workspace, at most ``max(_CHUNK_SCALARS, rows)`` scalars,
-    and is reused by the next chunk and the next pass; like the product
-    workspace of :func:`_blocked_rowmax`, it is never returned.  The builders
+    this thread's workspace (see :func:`_buffer`) and is reused by the next
+    chunk and the next pass; like the product workspace of
+    :func:`_blocked_rowmax`, it is never returned.  The builders
     consume the generator in the block's row-major order, piece by piece, so
     pieces draw the same bits as one call over the whole block.
     """
@@ -202,31 +208,33 @@ def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream,
     return out
 
 
-def _mb_values(x, mu, sigma, cols0, B, stream) -> np.ndarray:
-    g = (x[:, cols0] - mu[cols0]) / (math.sqrt(x.shape[0]) * sigma[cols0])
+def _mb_values(x, s: MomentSummary, cols0, B, stream) -> np.ndarray:
+    g, ms, ss = _scaled_columns(x, s, cols0)
+    g -= ms
+    g /= math.sqrt(x.shape[0]) * ss
     return _rowmax_draws(_normal_weights, g, B, stream)
 
 
-def _eb_values(x, mu, sigma, cols0, B, stream) -> np.ndarray:
-    h = x[:, cols0] / (math.sqrt(x.shape[0]) * sigma[cols0])
-    s0 = math.sqrt(x.shape[0]) * mu[cols0] / sigma[cols0]
-    return _rowmax_draws(_count_weights, h, B, stream, shift=s0)
+def _eb_values(x, s: MomentSummary, cols0, B, stream) -> np.ndarray:
+    h, _, ss = _scaled_columns(x, s, cols0)
+    h /= math.sqrt(x.shape[0]) * ss
+    return _rowmax_draws(_count_weights, h, B, stream, shift=studentized_scores(s)[cols0])
 
 
-def _values(scheme, x, mu, sigma, cols0, B, stream) -> np.ndarray:
+def _values(scheme, x, s: MomentSummary, cols0, B, stream) -> np.ndarray:
     if cols0.size == 0:
         return np.zeros(B)
     name, values = ("multiplier", _mb_values) if scheme == "MB" else ("empirical", _eb_values)
-    bad = cols0[sigma[cols0] == 0.0]
+    bad = cols0[s.degenerate[cols0]]
     if bad.size:
         raise DegenerateColumnError(bad + 1, context=f"{name} bootstrap undefined")
-    return values(x, mu, sigma, cols0, B, stream)
+    return values(x, s, cols0, B, stream)
 
 
 def _draws(scheme, sample, summary: MomentSummary, J, B: int, stream: SeededStream) -> BootstrapDraws:
     x = as_sample_matrix(sample)
     cols0 = _columns_mask(J, summary.p)
-    values = _values(scheme, x, summary.means, summary.sds, cols0, int(B), stream)
+    values = _values(scheme, x, summary, cols0, int(B), stream)
     return BootstrapDraws(values=values, restricted_to=frozenset(int(c) + 1 for c in cols0))
 
 
@@ -301,7 +309,7 @@ def _cutoff(rule: Rule, x, s: MomentSummary, selected, alpha, beta, B, stream, f
         vals = full(rule.scheme, B, "crit")
     else:
         cols0 = np.asarray(sorted(selected), dtype=np.intp) - 1
-        vals = _values(rule.scheme, x, s.means, s.sds, cols0, B, stream.child("crit"))
+        vals = _values(rule.scheme, x, s, cols0, B, stream.child("crit"))
     return _quantile(vals, 1.0 - alpha + rule.m * beta)
 
 
@@ -311,8 +319,7 @@ def _fresh(x, s: MomentSummary, stream):
     ``use`` is ``"select"`` for the bootstrap selection threshold and
     ``"crit"`` for a one-step cutoff, so the two never share randomness.
     """
-    return lambda scheme, B, use: _values(scheme, x, s.means, s.sds, np.arange(s.p), B,
-                                          stream.child(use))
+    return lambda scheme, B, use: _values(scheme, x, s, np.arange(s.p), B, stream.child(use))
 
 
 def _critical(rule: Rule, x, s: MomentSummary, alpha, beta, B, stream, full):

@@ -2,8 +2,10 @@
 
 The data object throughout the package is an ``n x p`` matrix: row ``i`` is an
 observation, column ``j`` a moment inequality.  All column moments use the
-``n``-divisor.  A column with zero sample variance makes the studentized score
-undefined; :func:`test_statistic` resolves it coordinate-wise (``+inf`` when
+``n``-divisor and come from each column scaled by a power of two, so every
+consumer is invariant to column scale over the whole finite range.  A
+constant column, and no other, has zero variance and an undefined studentized
+score; :func:`test_statistic` resolves it coordinate-wise (``+inf`` when
 such a column has positive mean, otherwise the max over the defined scores),
 so the one rejection rule ``test_statistic(s) > c`` of :func:`exceeds` is
 exactly ``sqrt(n) * mean_j > c * sd_j`` for some ``j``.  Columns are numbered
@@ -117,19 +119,28 @@ def as_sample_matrix(data) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Per-column sample means and n-divisor standard deviations.
+    """Per-column sample means and n-divisor standard deviations, and their scaled copies.
 
-    A column is degenerate exactly when its sd is 0; :func:`summarize` gives
-    sd 0 to constant columns and to no other.  ``exact_scores`` holds the
-    studentized scores :func:`summarize` takes from the power-of-two-scaled
-    columns, which keep every bit where the means and sds are subnormal;
-    a summary built from means and sds alone leaves it ``None``.
+    Column ``j`` is also kept as an exponent ``e[j]`` with its mean and sd
+    times ``2^-e[j]`` (``ms``, ``ss``), which neither overflow nor underflow;
+    every consumer reads those.  A column is degenerate exactly when its
+    scaled sd is 0, which :func:`summarize` gives to constant columns only.
+    A summary built from means and sds alone takes ``e`` from each sd.
     """
 
     means: np.ndarray
     sds: np.ndarray
     n: int
-    exact_scores: np.ndarray | None = field(default=None, repr=False, compare=False)
+    e: np.ndarray | None = field(default=None, repr=False, compare=False)
+    ms: np.ndarray | None = field(default=None, repr=False, compare=False)
+    ss: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.e is None:
+            e = np.frexp(self.sds)[1]
+            object.__setattr__(self, "e", e)
+            object.__setattr__(self, "ms", np.ldexp(self.means, -e))
+            object.__setattr__(self, "ss", np.ldexp(self.sds, -e))
 
     @property
     def p(self) -> int:
@@ -137,8 +148,8 @@ class MomentSummary:
 
     @property
     def degenerate(self) -> np.ndarray:
-        """``sds == 0`` per column: the score is undefined there."""
-        return self.sds == 0.0
+        """``ss == 0`` per column: the score is undefined there."""
+        return self.ss == 0.0
 
     def any_degenerate(self) -> bool:
         return bool(self.degenerate.any())
@@ -148,56 +159,51 @@ class MomentSummary:
         return tuple(int(j) + 1 for j in np.flatnonzero(self.degenerate))
 
 
-def _column_sds(xf: np.ndarray, centers: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Root mean square of ``xf - centers`` per column, over the whole float range.
+def summarize(sample, centers=None) -> MomentSummary:
+    """Column means (or the given ``centers``) and n-divisor sds around them.
 
-    ``e[j]`` is the ``frexp`` exponent of a bound on ``|x_ij|`` and
-    ``|centers_j|``.  The deviations are scaled by the power of two ``2^-e``
-    before squaring and the root is scaled back, so squares neither
-    underflow nor overflow; power-of-two scaling is exact, so at normal
-    scales the result is the unscaled formula's, bit for bit.
+    Both are taken from each column times ``2^-e``, ``e`` the exponent of a
+    bound on its entries and center, so no sum or square overflows or
+    underflows; the scaling is exact.
     """
-    sds = np.sqrt(np.mean(np.ldexp(xf - centers, -e) ** 2, axis=0))
-    return np.ldexp(sds, e)
-
-
-def summarize(sample) -> MomentSummary:
-    """Column means and n-divisor standard deviations of a sample matrix."""
     x = as_sample_matrix(sample)
-    n = x.shape[0]
+    hi, lo = x.max(axis=0), x.min(axis=0)
+    bound = np.maximum(hi, -lo)
+    if centers is not None:
+        bound = np.maximum(bound, np.abs(centers))
+    e = np.frexp(bound)[1]
     # Column-major layout makes each column's reduction a contiguous pairwise
     # sum that depends only on its own entries, so a column's summary is
     # bit-identical wherever the column sits and whatever sits next to it.
-    xf = np.asfortranarray(x)
-    hi, lo = x.max(axis=0), x.min(axis=0)
-    # Both moments are taken from the columns scaled by 2^-e, so neither the
-    # sum behind the mean, the deviations nor their squares overflow; the
-    # scaling is exact.
-    e = np.frexp(np.maximum(hi, -lo))[1]
-    xs = np.ldexp(xf, -e)
-    ms = xs.mean(axis=0)
-    ss = np.sqrt(np.mean((xs - ms) ** 2, axis=0))
-    means, sds = np.ldexp(ms, e), np.ldexp(ss, e)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.sqrt(n) * ms / ss
-    # A literally constant column must come out exactly (mean c, sd 0);
-    # the centered two-pass formula can leave rounding residue there.
-    constant = hi == lo
-    if constant.any():
-        means = np.where(constant, x[0], means)
-        sds = np.where(constant, 0.0, sds)
-    return MomentSummary(means=means, sds=sds, n=n, exact_scores=scores)
+    xs = np.ldexp(x, -e, order="F")
+    ms = xs.mean(axis=0) if centers is None else np.ldexp(centers, -e)
+    xs -= ms
+    xs *= xs
+    ss = np.sqrt(xs.mean(axis=0))
+    if centers is None:
+        # A literally constant column must come out exactly (mean c, sd 0);
+        # the centered two-pass formula can leave rounding residue there.
+        constant = hi == lo
+        ms = np.where(constant, np.ldexp(x[0], -e), ms)
+        ss = np.where(constant, 0.0, ss)
+    return MomentSummary(means=np.ldexp(ms, e), sds=np.ldexp(ss, e), n=x.shape[0],
+                         e=e, ms=ms, ss=ss)
+
+
+def _scaled_columns(x: np.ndarray, s: MomentSummary, cols0: np.ndarray):
+    """``(xs, ms, ss)``: the columns ``cols0`` of ``x`` times ``2^-e``, and their scaled moments.
+
+    ``cols0`` is an index array, so ``xs`` is a copy the caller may change in place.
+    """
+    xs = x[:, cols0]
+    np.ldexp(xs, -s.e[cols0], out=xs)
+    return xs, s.ms[cols0], s.ss[cols0]
 
 
 def studentized_scores(summary: MomentSummary) -> np.ndarray:
-    """``sqrt(n) * mean_j / sd_j`` per column; NaN where ``sd_j == 0``."""
-    scores = summary.exact_scores
-    if scores is None:
-        # Mean and sd are scaled by one power of two, exactly, so that
-        # ``sqrt(n) * mean`` cannot overflow when the sd is near the float maximum.
-        k = np.frexp(summary.sds)[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = np.sqrt(summary.n) * np.ldexp(summary.means, -k) / np.ldexp(summary.sds, -k)
+    """``sqrt(n) * mean_j / sd_j`` per column from the scaled moments; NaN where constant."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.sqrt(summary.n) * summary.ms / summary.ss
     return np.where(summary.degenerate, np.nan, scores)
 
 
@@ -256,11 +262,11 @@ def regularity_diagnostics(sample) -> RegularityDiagnostics:
 
 
 def _diagnostics(x: np.ndarray, s: MomentSummary) -> RegularityDiagnostics:
-    """The diagnostics of a validated sample ``x`` from its summary ``s`` (no zero sds)."""
-    # Standardized from the columns scaled by 2^-k, k the exponent of the sd,
-    # so the deviations cannot overflow; the scaling is exact.
-    k = np.frexp(s.sds)[1]
-    z = (np.ldexp(x, -k) - np.ldexp(s.means, -k)) / np.ldexp(s.sds, -k)
+    """The diagnostics of a validated sample ``x`` from its summary ``s`` (no degenerate column)."""
+    # standardized from the scaled columns, so the deviations cannot overflow
+    z, ms, ss = _scaled_columns(x, s, np.arange(s.p))
+    z -= ms
+    z /= ss
     z2 = z * z
     m3 = float(np.mean(np.abs(z) ** 3, axis=0).max() ** (1 / 3))
     m4 = float(np.mean(z2 * z2, axis=0).max() ** 0.25)

@@ -103,11 +103,11 @@ def bmb_test(sample, plan: BlockPlan, alpha: float, B: int,
         )
     s = summarize(x)
     # The block sums are formed from the sample scaled by one power of two
-    # 2^-k, so neither they nor their weighted sums overflow; the cutoff is
-    # scaled back, and the scaling is exact.
-    k = int(np.frexp(max(x.max(), -x.min()))[1])
+    # 2^-k, k the largest column exponent, so neither they nor their weighted
+    # sums overflow; the cutoff is scaled back, and the scaling is exact.
+    k = int(s.e.max())
     xc = np.ldexp(x, -k)
-    xc -= np.ldexp(s.means, -k)
+    xc -= np.ldexp(s.ms, s.e - k)
     block_sums = np.stack([xc[a:b].sum(axis=0) for a, b in plan.large_blocks])
     scale = 1.0 / math.sqrt(plan.m * plan.q)
     draws = _rowmax_draws(_normal_weights, block_sums, B, stream) * scale

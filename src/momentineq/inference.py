@@ -20,15 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import _critical, _fresh, run_test
-from .core import (
-    METHODS,
-    CriticalValueSpec,
-    MomentSummary,
-    TestDecision,
-    _column_sds,
-    as_sample_matrix,
-    decide,
-)
+from .core import METHODS, CriticalValueSpec, TestDecision, as_sample_matrix, decide, summarize
 from .errors import GridPointError, InputError
 from .gaussian import SeededStream
 
@@ -149,12 +141,7 @@ def approximate_two_step_test(approx: ApproxSample, spec: CriticalValueSpec, *,
             f"approximate test requires a two-step bootstrap method, got {spec.method!r}"
         )
     x = approx.xhat
-    n = x.shape[0]
-    mu = approx.muhat
-    # deviations from supplied means are bounded by both magnitudes
-    e = np.frexp(np.maximum(np.abs(x).max(axis=0), np.abs(mu)))[1]
-    sds = _column_sds(np.asfortranarray(x), mu, e)
-    s = MomentSummary(means=mu, sds=sds, n=n)
+    s = summarize(x, centers=approx.muhat)
     if stream is None:
         stream = SeededStream(spec.seed)
     cv, selected = _critical(METHODS[spec.method], x, s, spec.alpha, spec.beta,

@@ -136,14 +136,6 @@ def _flat_gradient_summary(data: ParametricMomentData) -> MomentSummary:
     return flat
 
 
-def _gradient_draws(data: ParametricMomentData, flat: MomentSummary,
-                    cfg: ThreeStepConfig, stream: SeededStream) -> np.ndarray:
-    """Bootstrap draws of the max studentized gradient average over all ``p * r`` coordinates."""
-    vflat = data.v.reshape(data.n, data.p * data.r)
-    return _values(cfg.scheme, vflat, flat.means, flat.sds, np.arange(flat.p),
-                   cfg.replications, stream)
-
-
 def _sets(data, g_summary, cfg, stream):
     """The three estimated column sets ``(J, J', J'')``.
 
@@ -157,7 +149,9 @@ def _sets(data, g_summary, cfg, stream):
                     _fresh(data.g, g_summary, stream))
     flat = _flat_gradient_summary(data)
     phi = cfg.resolve_phi(data.n)
-    vals = _gradient_draws(data, flat, cfg, stream.child("grad-select"))
+    # the max studentized gradient average over all p * r coordinates
+    vals = _values(cfg.scheme, data.v.reshape(data.n, flat.p), flat, np.arange(flat.p),
+                   cfg.replications, stream.child("grad-select"))
     c_plus = _quantile(vals, 1.0 - (cfg.beta + phi))
     c_minus = _quantile(vals, 1.0 - (cfg.beta - phi))
     scores = studentized_scores(flat).reshape(data.p, data.r)
@@ -189,5 +183,5 @@ def three_step_test(data: ParametricMomentData, cfg: ThreeStepConfig) -> TestDec
                  _fresh(data.g, g_summary, stream))
     keep = np.asarray(sorted(j_prime), dtype=np.intp) - 1
     kept = MomentSummary(g_summary.means[keep], g_summary.sds[keep], g_summary.n,
-                         g_summary.exact_scores[keep])
+                         g_summary.e[keep], g_summary.ms[keep], g_summary.ss[keep])
     return decide(kept, cv, cv_set, f"3s-{cfg.scheme.lower()}", sets=sets)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtri
@@ -17,6 +17,7 @@ from momentineq import (
     CriticalValueSpec,
     DegenerateColumnError,
     SeededStream,
+    UndefinedCriticalValueError,
     bmb_test,
     eb_draws,
     empirical_quantile,
@@ -29,6 +30,7 @@ from momentineq import (
     summarize,
 )
 from momentineq import bootstrap
+from momentineq.core import METHODS
 from momentineq.gaussian import open_uniform
 from momentineq.sn import threshold_select
 from score_samples import sample_with_scores
@@ -266,6 +268,15 @@ class TestPiecewiseWeights:
             tracemalloc.stop()
         assert peak - base < B * n * 8
 
+    def test_workspaces_keep_at_most_a_chunk(self):
+        # 42 block rows: a chunk of 95,238 replications fills a 32 MB weight
+        # block, and its 95,238 x 64 product (48.8 MB) outgrows the bound
+        x = np.random.default_rng(6).normal(size=(300, 65))
+        bmb_test(x, make_blocks(300, 5, 2), 0.05, 100_000, SeededStream(1))
+        sizes = {name: buf.nbytes for name, buf in vars(bootstrap._workspace).items()}
+        assert set(sizes) == {"weights", "prod"}
+        assert max(sizes.values()) <= 32_000_000
+
 
 class TestEmpiricalQuantile:
     def test_order_statistic_examples(self):
@@ -326,7 +337,7 @@ def _outcome(x, spec):
     """The decision of ``run_test``, or the type of the error it raised."""
     try:
         return run_test(x, spec, include_diagnostics=True)
-    except DegenerateColumnError as exc:
+    except (DegenerateColumnError, UndefinedCriticalValueError) as exc:
         return type(exc)
 
 
@@ -338,16 +349,24 @@ FLOAT_RANGE_SPECS = [
 
 class TestFloatRange:
     # Integer entries keep every nonzero entry and mean of the rescaled data
-    # normal and every deviation exact, so a power of two changes no bit.
+    # normal and every deviation exact, so a power of two changes no bit; up
+    # to 2^10 * 2^1013 every entry stays finite.  The example is a null
+    # sample whose unscaled sqrt(n) * sd overflows at the top of the range.
     @settings(max_examples=30, deadline=None)
     @given(
         st.tuples(st.integers(6, 24), st.integers(2, 4)).flatmap(
             lambda shape: arrays(np.float64, shape, elements=st.integers(-1024, 1024))
         ),
-        st.integers(-1000, 1000),
+        st.integers(-1000, 1013),
+    )
+    @example(
+        x=np.column_stack([np.tile([1024.0, -1000.0], 6),
+                           np.tile([1024.0, 1024.0, -1024.0, -1024.0], 3)]),
+        e=1013,
     )
     def test_power_of_two_scales_are_bitwise_invariant(self, x, e):
-        for spec in FLOAT_RANGE_SPECS:
+        for method in METHODS:
+            spec = CriticalValueSpec(method, alpha=0.05, beta=0.001, replications=100, seed=5)
             assert _outcome(x * 2.0 ** e, spec) == _outcome(x, spec)
 
     @settings(max_examples=30, deadline=None)

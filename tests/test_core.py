@@ -12,6 +12,7 @@ from momentineq import (
     as_sample_matrix,
     exceeds,
     regularity_diagnostics,
+    run_test,
     studentized_scores,
     summarize,
 )
@@ -202,6 +203,38 @@ class TestStatistic:
     )
     def test_never_nan_over_the_float_range(self, x):
         assert not np.isnan(max_statistic(summarize(x)))
+
+
+class TestUnderflowingSd:
+    # Nine zeros and one 5e-324 is nine zeros and one 1 scaled by 2^-1074:
+    # its sd (0.3 * 2^-1074) underflows to 0, yet the column is not constant,
+    # and its scaled moments are those of the unit column bit for bit.
+    @staticmethod
+    def pair():
+        tiny = np.column_stack([[0.0] * 9 + [5e-324], np.arange(10) - 5.0])
+        unit = np.column_stack([[0.0] * 9 + [1.0], np.arange(10) - 5.0])
+        return tiny, unit
+
+    def test_column_is_not_degenerate(self):
+        tiny, _ = self.pair()
+        s = summarize(tiny)
+        assert not s.any_degenerate()
+        assert tuple(s.degenerate) == (False, False)
+
+    def test_scores_statistic_and_diagnostics_match_the_unit_column(self):
+        tiny, unit = self.pair()
+        a, b = summarize(tiny), summarize(unit)
+        np.testing.assert_array_equal(studentized_scores(a), studentized_scores(b))
+        assert max_statistic(a) == max_statistic(b)
+        assert regularity_diagnostics(tiny) == regularity_diagnostics(unit)
+
+    def test_bootstrap_cutoffs_match_the_unit_column(self):
+        tiny, unit = self.pair()
+        for method in ("mb1", "eb1"):
+            spec = CriticalValueSpec(method, alpha=0.05, replications=500, seed=3)
+            a, b = run_test(tiny, spec), run_test(unit, spec)
+            assert a.critical_value == b.critical_value
+            assert a == b
 
 
 class TestExceeds:

@@ -46,17 +46,26 @@ DELETED = [
     "bmb_critical",
     "gradient_bootstrap_critical",
     "covariance_factor",
+    "_column_sds",
+    "exact_scores",
 ]
 
 
 def test_deleted_names_are_gone():
-    left = [
-        (name, attr)
-        for name in MODULES
-        for attr in DELETED
-        if attr in getattr(importlib.import_module(name), "__all__", ())
-        or hasattr(importlib.import_module(name), attr)
-    ]
+    left = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        # a name may also live on as a field or method of the module's classes
+        owners = [module] + [
+            v for v in vars(module).values()
+            if isinstance(v, type) and v.__module__ == name
+        ]
+        left += [
+            (name, attr)
+            for attr in DELETED
+            for owner in owners
+            if attr in getattr(owner, "__all__", ()) or hasattr(owner, attr)
+        ]
     assert left == []
 
 
@@ -83,6 +92,18 @@ def test_decisions_are_built_only_by_decide():
                 if name == "TestDecision":
                     builders.append((path.stem, owner.get(id(node), "<module>")))
     assert builders == [("core", "decide")]
+
+
+def test_column_exponents_are_taken_only_in_core():
+    # ``frexp`` picks each column's power-of-two scale; the summary keeps it
+    users = set()
+    for path, tree, owner in package_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "frexp":
+                    users.add(path.stem)
+    assert users == {"core"}
 
 
 def test_matrix_products_are_taken_only_by_the_blocked_rowmax():

@@ -17,8 +17,8 @@ from momentineq import (
     summarize,
     three_step_test,
 )
-from momentineq.bootstrap import _quantile
-from momentineq.threestep import _flat_gradient_summary, _gradient_draws, _sets
+from momentineq.bootstrap import _quantile, _values
+from momentineq.threestep import _flat_gradient_summary, _sets
 
 
 def matrix_with_scores(scores, n=400):
@@ -96,7 +96,9 @@ class TestGradientSummary:
 def gradient_critical(data, gamma, cfg):
     """``1 - gamma`` quantile of the gradient bootstrap draws that ``_sets`` thresholds."""
     stream = SeededStream(cfg.seed).child("grad-crit")
-    draws = _gradient_draws(data, _flat_gradient_summary(data), cfg, stream)
+    flat = _flat_gradient_summary(data)
+    draws = _values(cfg.scheme, data.v.reshape(data.n, flat.p), flat, np.arange(flat.p),
+                    cfg.replications, stream)
     return _quantile(draws, 1 - gamma)
 
 
@@ -157,13 +159,10 @@ class TestSets:
         grads = np.array([[30.0], [-5.0], [30.0]])
         data = data_with_scores([0.0, 0.0, 0.0], grads)
         # recompute the shared-draw thresholds to place the -5 correctly
-        from momentineq.bootstrap import _quantile, _values
-
         flat = _flat_gradient_summary(data)
         phi = cfg.resolve_phi(data.n)
         vals = _values(
-            "MB", data.v.reshape(data.n, 3), flat.means, flat.sds,
-            np.arange(3), cfg.replications,
+            "MB", data.v.reshape(data.n, 3), flat, np.arange(3), cfg.replications,
             SeededStream(14).child("grad-select"),
         )
         c_plus = _quantile(vals, 1 - (cfg.beta + phi))
