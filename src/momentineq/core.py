@@ -202,7 +202,7 @@ def _scaled_columns(x: np.ndarray, s: MomentSummary, cols0: np.ndarray):
 
 def studentized_scores(summary: MomentSummary) -> np.ndarray:
     """``sqrt(n) * mean_j / sd_j`` per column from the scaled moments; NaN where constant."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scores = np.sqrt(summary.n) * summary.ms / summary.ss
     return np.where(summary.degenerate, np.nan, scores)
 
