@@ -13,22 +13,22 @@ columns, the SN threshold ``-2 c_SN(beta)`` or the bootstrap threshold
 ``-2 c_B(beta)``), the scheme computing the cutoff (the SN formula, MB or
 EB), and the multiplier ``m`` in the level ``1 - alpha + m beta`` (the SN
 formula uses the tail ``(alpha - m beta) / k`` over ``k`` selected columns).
-:func:`_critical` runs that pipeline for :func:`run_test`, the
-approximate-data test, :func:`run_tests` and, with ``m = 4``, the
-three-step test; each critical value is read off the decision they return.
+:func:`_select` and :func:`_cutoff` run that pipeline for :func:`run_tests`
+(and so :func:`run_test`), the approximate-data test and, with ``m = 4``,
+the three-step test; each critical value is read off the decision they
+return.
 
-Stream discipline: within one test, selection draws and critical-value draws
-come from disjoint substreams (``select`` vs ``crit`` children of the test's
-stream), so each quantile is computed from fresh randomness and the whole
-pipeline is reproducible.  :func:`run_tests`, which runs several methods on
-one sample, draws the all-column values once per scheme on the ``MB`` or
-``EB`` child of its stream and takes both the one-step cutoffs and the
-two-step selection thresholds from them; a cutoff over a selected set still
-draws on the method's own ``crit`` child.  Replication ``b`` consumes the
-``b``-th row of the run's multiplier (or index) block, which makes every
-draw independent of the restriction set: restricting to a subset of
-columns, duplicating a column, or permuting columns never changes the
-randomness a replication sees.
+Stream discipline: every bootstrap draw of a test lives on the scheme's
+child of the test's stream (``MB`` or ``EB``), for the selection threshold
+and the cutoff alike; both are quantiles conditional on the data, so they
+may share multipliers.  (Only the three-step test's gradient draws keep a
+child of their own.)  Replication ``b`` consumes the ``b``-th row of the
+run's multiplier (or index) block, and the fixed-width product makes each
+column's value depend on that column alone.  So a pass over a set of
+columns sees the multipliers of the all-column pass and takes its row max
+over that set, and restricting to a subset of columns, duplicating a
+column, or permuting columns never changes the randomness a replication
+sees.
 
 Memory: every bootstrap pass builds its ``k x n`` weight block (multipliers
 or resampling counts) and the ``k x 64`` product of each column block in
@@ -287,53 +287,57 @@ def empirical_quantile(draws: BootstrapDraws, level: float) -> float:
     return _quantile(np.asarray(draws.values, dtype=np.float64), level)
 
 
-def _select(rule: Rule, s: MomentSummary, beta, B, full) -> frozenset[int]:
+def _select(rule: Rule, s: MomentSummary, beta, B, draws) -> frozenset[int]:
     """The 1-based columns the rule keeps: all, the SN rule's, or the bootstrap rule's."""
     if rule.selection is None:
         return frozenset(range(1, s.p + 1))
     if rule.selection == "sn":
         return sn_select(s, beta)
-    return threshold_select(s, -2.0 * _quantile(full(rule.scheme, B, "select"), 1.0 - beta))
+    return threshold_select(s, -2.0 * _quantile(draws(rule.scheme, B, np.arange(s.p)), 1.0 - beta))
 
 
-def _cutoff(rule: Rule, x, s: MomentSummary, selected, alpha, beta, B, stream, full) -> float:
-    """The rule's cutoff over ``selected`` at size ``alpha - m beta``; 0 over no columns.
-
-    A rule that keeps every column reads its draws from ``full``; a selected
-    set draws on the ``crit`` child of ``stream``.
-    """
+def _cutoff(rule: Rule, s: MomentSummary, selected, alpha, beta, B, draws) -> float:
+    """The rule's cutoff over ``selected`` at size ``alpha - m beta``; 0 over no columns."""
     if rule.scheme == "SN":
         k = len(selected)
         return _sn_from_tail((alpha - rule.m * beta) / k, s.n) if k else 0.0
-    if rule.selection is None:
-        vals = full(rule.scheme, B, "crit")
-    else:
-        cols0 = np.asarray(sorted(selected), dtype=np.intp) - 1
-        vals = _values(rule.scheme, x, s, cols0, B, stream.child("crit"))
-    return _quantile(vals, 1.0 - alpha + rule.m * beta)
+    cols0 = np.asarray(sorted(selected), dtype=np.intp) - 1
+    return _quantile(draws(rule.scheme, B, cols0), 1.0 - alpha + rule.m * beta)
 
 
-def _fresh(x, s: MomentSummary, stream):
-    """The all-column draws of a lone test: ``full(scheme, B, use)`` on ``stream.child(use)``.
+def _provider(x, s: MomentSummary, stream):
+    """``draws(scheme, B, cols0)``: the ``B`` bootstrap draws of one sample over ``cols0``.
 
-    ``use`` is ``"select"`` for the bootstrap selection threshold and
-    ``"crit"`` for a one-step cutoff, so the two never share randomness.
+    Every draw of a scheme lives on ``stream.child(scheme)``, and one pass
+    is kept per scheme, ``B`` and column set for as long as the provider
+    lives, so a selection that keeps every column reuses the all-column
+    pass.  ``stream`` may be ``None`` when only the analytic scheme runs.
     """
-    return lambda scheme, B, use: _values(scheme, x, s, np.arange(s.p), B, stream.child(use))
+    passes = {}
+
+    def draws(scheme, B, cols0):
+        key = scheme, B, cols0.tobytes()
+        if key not in passes:
+            passes[key] = _values(scheme, x, s, cols0, B, stream.child(scheme))
+        return passes[key]
+
+    return draws
 
 
-def _critical(rule: Rule, x, s: MomentSummary, alpha, beta, B, stream, full):
-    """The pipeline behind every method: ``(critical value, selected columns)``.
+def _decisions(x, s: MomentSummary, specs, stream, diagnostics=None) -> list[TestDecision]:
+    """The pipeline behind every method: one decision per spec, all on one provider.
 
-    ``full(scheme, B, use)`` returns ``B`` all-column draws of the scheme,
-    for the selection threshold (``use == "select"``) or a one-step cutoff
-    (``"crit"``): :func:`_fresh` for a lone test, one shared pass per scheme
-    in :func:`run_tests`.  A cutoff over a selected set draws on the
-    ``crit`` child of ``stream``.  ``stream`` may be ``None`` for the
-    analytic scheme, which draws nothing.
+    Each spec selects its columns (:func:`_select`) and takes its cutoff
+    over them (:func:`_cutoff`).
     """
-    selected = _select(rule, s, beta, B, full)
-    return _cutoff(rule, x, s, selected, alpha, beta, B, stream, full), selected
+    draws = _provider(x, s, stream)
+    decisions = []
+    for spec in specs:
+        rule, B = METHODS[spec.method], spec.replications
+        selected = _select(rule, s, spec.beta, B, draws)
+        cv = _cutoff(rule, s, selected, spec.alpha, spec.beta, B, draws)
+        decisions.append(decide(s, cv, selected, spec, diagnostics=diagnostics))
+    return decisions
 
 
 def run_test(sample, spec: CriticalValueSpec, *, stream: SeededStream | None = None,
@@ -346,51 +350,32 @@ def run_test(sample, spec: CriticalValueSpec, *, stream: SeededStream | None = N
     well-defined even when some column has zero variance (analytic methods
     only; bootstrap draws over a zero-variance column raise).
 
-    ``stream`` overrides the default ``SeededStream(spec.seed)``, which lets
-    a simulation harness nest the bootstrap randomness under its own
-    substream tree.
+    The decision is ``run_tests(sample, [spec], stream)[0]``, with the
+    diagnostics attached on request.  ``stream`` overrides the default
+    ``SeededStream(spec.seed)``, which lets a simulation harness nest the
+    bootstrap randomness under its own substream tree; an analytic spec
+    draws nothing and builds no stream.
     """
     x = as_sample_matrix(sample)
     s = summarize(x)
-    rule = METHODS[spec.method]
-    if stream is None and rule.scheme != "SN":
+    if stream is None and METHODS[spec.method].scheme != "SN":
         stream = SeededStream(spec.seed)
-    cv, selected = _critical(rule, x, s, spec.alpha, spec.beta, spec.replications, stream,
-                             _fresh(x, s, stream))
     diagnostics = None
     if include_diagnostics and not s.any_degenerate():
         diagnostics = _diagnostics(x, s)
-    return decide(s, cv, selected, spec, diagnostics=diagnostics)
+    return _decisions(x, s, [spec], stream, diagnostics)[0]
 
 
 def run_tests(sample, specs, stream: SeededStream) -> list[TestDecision]:
     """Run every test in ``specs`` on one sample; one decision per spec, in order.
 
-    The sample is validated and summarized once.  For each scheme and ``B``
-    the all-column draws are computed once, on ``stream.child(scheme)``
-    (``"MB"`` or ``"EB"``), and serve both the one-step cutoffs and the
-    two-step selection thresholds.  A cutoff over a selected set draws on
-    ``stream.child(method).child("crit")``, so selection and cutoff within
-    one method still use disjoint randomness.  Because the shared draws are
-    keyed by the scheme, a method's decision does not depend on which other
-    methods are listed, or in what order.  The analytic and hybrid methods
-    decide as :func:`run_test` does on ``stream.child(method)``; the
-    one-step and two-step bootstrap methods draw differently from it.
+    The sample is validated and summarized once, and every method draws
+    through one provider (:func:`_provider`): the all-column pass of a
+    scheme is computed once and serves the one-step cutoffs, the two-step
+    selection thresholds and every cutoff whose selection keeps all
+    columns.  Because the draws are keyed by the scheme, a method's
+    decision does not depend on which other methods are listed, or in what
+    order, and equals :func:`run_test` on the same stream.
     """
     x = as_sample_matrix(sample)
-    s = summarize(x)
-    draw = _fresh(x, s, stream)
-    passes = {}
-
-    def full(scheme, B, use):
-        # one pass per scheme and B, on stream.child(scheme), whatever the use
-        if (scheme, B) not in passes:
-            passes[scheme, B] = draw(scheme, B, scheme)
-        return passes[scheme, B]
-
-    decisions = []
-    for spec in specs:
-        cv, selected = _critical(METHODS[spec.method], x, s, spec.alpha, spec.beta,
-                                 spec.replications, stream.child(spec.method), full)
-        decisions.append(decide(s, cv, selected, spec))
-    return decisions
+    return _decisions(x, summarize(x), specs, stream)

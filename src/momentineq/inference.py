@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import _critical, _fresh, run_test
-from .core import METHODS, CriticalValueSpec, TestDecision, as_sample_matrix, decide, summarize
+from .bootstrap import _decisions, run_test
+from .core import CriticalValueSpec, TestDecision, as_sample_matrix, summarize
 from .errors import GridPointError, InputError
 from .gaussian import SeededStream
 
@@ -140,10 +140,5 @@ def approximate_two_step_test(approx: ApproxSample, spec: CriticalValueSpec, *,
         raise ValueError(
             f"approximate test requires a two-step bootstrap method, got {spec.method!r}"
         )
-    x = approx.xhat
-    s = summarize(x, centers=approx.muhat)
-    if stream is None:
-        stream = SeededStream(spec.seed)
-    cv, selected = _critical(METHODS[spec.method], x, s, spec.alpha, spec.beta,
-                             spec.replications, stream, _fresh(x, s, stream))
-    return decide(s, cv, selected, spec)
+    s = summarize(approx.xhat, centers=approx.muhat)
+    return _decisions(approx.xhat, s, [spec], stream or SeededStream(spec.seed))[0]

@@ -249,9 +249,8 @@ def _rejections(mc: McConfig, samples) -> np.ndarray:
     The one replication loop: replication ``k`` runs on substream
     ``(seed, "mc", k)``, ``samples(rep)`` yields its data sets, and
     :func:`~momentineq.bootstrap.run_tests` runs every method on each.  It
-    summarizes the sample once and draws the all-column bootstrap values
-    once per scheme, on ``(seed, "mc", k, scheme)``; the one-step cutoffs
-    and the two-step selection thresholds share them.
+    summarizes the sample once, and every bootstrap draw lives on
+    ``(seed, "mc", k, scheme)``, with one all-column pass per scheme.
     """
     specs = mc.specs()
     root = SeededStream(mc.seed)
@@ -274,14 +273,11 @@ def run_mc(design: DesignSpec, mc: McConfig) -> McResult:
     """Rejection frequency of every requested method over ``mc.sims`` replications.
 
     Each replication draws one sample on substream ``(seed, "mc", k)`` and
-    runs every method on it, with the bootstrap randomness nested under the
-    replication: the all-column draws of each scheme live on
-    ``(seed, "mc", k, scheme)`` and are shared by that scheme's one-step
-    cutoff and two-step selection, and a cutoff over a selected set draws on
-    ``(seed, "mc", k, method, "crit")``.  A method's rate therefore does not
-    depend on which other methods run, though for ``mb1``, ``eb1``, ``mb2``
-    and ``eb2`` it differs from a lone ``run_test`` on
-    ``(seed, "mc", k, method)``.  Sharing the sample across methods reduces
+    runs every method on it through :func:`~momentineq.bootstrap.run_tests`
+    on that substream, so each decision is that of a lone ``run_test`` on
+    ``(seed, "mc", k)``: every bootstrap draw lives on
+    ``(seed, "mc", k, scheme)``.  A method's rate therefore does not depend
+    on which other methods run.  Sharing the sample across methods reduces
     the variance of method comparisons.  Results are identical under any
     ``threads`` setting.
     """

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import SCHEMES, _cutoff, _fresh, _quantile, _select, _values
+from .bootstrap import SCHEMES, _cutoff, _provider, _quantile, _select, _values
 from .core import (
     MomentSummary,
     Rule,
@@ -136,17 +136,17 @@ def _flat_gradient_summary(data: ParametricMomentData) -> MomentSummary:
     return flat
 
 
-def _sets(data, g_summary, cfg, stream):
+def _sets(data, g_summary, cfg, stream, draws):
     """The three estimated column sets ``(J, J', J'')``.
 
     ``J`` keeps columns whose score clears ``-2 c_boot(beta)`` (the usual
-    slack-inequality selection on the data itself).  ``J'`` and ``J''`` keep
-    columns whose *every* gradient score clears ``-c_grad(beta + phi)`` and
-    ``-3 c_grad(beta - phi)`` respectively; both gradient thresholds come
-    from one shared set of gradient bootstrap draws.
+    slack-inequality selection on the data itself, read off ``draws``).
+    ``J'`` and ``J''`` keep columns whose *every* gradient score clears
+    ``-c_grad(beta + phi)`` and ``-3 c_grad(beta - phi)`` respectively; both
+    gradient thresholds come from one shared set of gradient bootstrap
+    draws, on the ``grad-select`` child of ``stream``.
     """
-    j_hat = _select(cfg.rule, g_summary, cfg.beta, cfg.replications,
-                    _fresh(data.g, g_summary, stream))
+    j_hat = _select(cfg.rule, g_summary, cfg.beta, cfg.replications, draws)
     flat = _flat_gradient_summary(data)
     phi = cfg.resolve_phi(data.n)
     # the max studentized gradient average over all p * r coordinates
@@ -171,16 +171,18 @@ def three_step_test(data: ParametricMomentData, cfg: ThreeStepConfig) -> TestDec
     ``1 - alpha + 4 beta`` bootstrap quantile over ``J`` intersected with
     ``J''``.  An empty ``J'`` sets both the statistic and the critical value
     to 0, so the test never rejects (the comparison is strict).  The
-    decision carries ``(J, J', J'')`` as ``sets``.
+    decision carries ``(J, J', J'')`` as ``sets``.  ``J`` and the cutoff
+    read one provider on ``SeededStream(seed)``, as a two-step
+    :func:`~momentineq.run_test` on that stream does.
     """
     g_summary = summarize(data.g)
     stream = SeededStream(cfg.seed)
-    sets = j_hat, j_prime, j_dprime = _sets(data, g_summary, cfg, stream)
+    draws = _provider(data.g, g_summary, stream)
+    sets = j_hat, j_prime, j_dprime = _sets(data, g_summary, cfg, stream, draws)
     cv_set = j_hat & j_dprime
     # over no columns the cutoff is 0 and nothing is drawn
-    cv = _cutoff(cfg.rule, data.g, g_summary, cv_set if j_prime else frozenset(),
-                 cfg.alpha, cfg.beta, cfg.replications, stream,
-                 _fresh(data.g, g_summary, stream))
+    cv = _cutoff(cfg.rule, g_summary, cv_set if j_prime else frozenset(),
+                 cfg.alpha, cfg.beta, cfg.replications, draws)
     keep = np.asarray(sorted(j_prime), dtype=np.intp) - 1
     kept = MomentSummary(g_summary.means[keep], g_summary.sds[keep], g_summary.n,
                          g_summary.e[keep], g_summary.ms[keep], g_summary.ss[keep])

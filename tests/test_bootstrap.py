@@ -1,5 +1,6 @@
 """Bootstrap draw engine: exact conditional laws, exact invariances, quantiles."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -386,7 +387,7 @@ class TestFloatRange:
 class TestSelection:
     def test_rule_matches_recomputed_threshold(self, gauss_sample):
         s = summarize(gauss_sample)
-        d = mb_draws(gauss_sample, s, None, 500, SeededStream(31).child("select"))
+        d = mb_draws(gauss_sample, s, None, 500, SeededStream(31).child("MB"))
         c_beta = empirical_quantile(d, 1 - 0.01)
         assert selected(gauss_sample, "mb2", 500, SeededStream(31), beta=0.01) == \
             threshold_select(s, -2.0 * c_beta)
@@ -517,8 +518,8 @@ class TestMethodTable:
     """``run_test`` runs each method on the draws and levels its definition names.
 
     The reference rebuilds every critical value from the public draw
-    engines: selection draws on the ``select`` child of the test's stream
-    at level ``1 - beta``, cutoff draws on the ``crit`` child at level
+    engines, all on the scheme's child of the test's stream (``MB`` or
+    ``EB``): selection draws at level ``1 - beta``, cutoff draws at level
     ``1 - alpha + m beta``, and the analytic formula for the SN scheme.
     """
 
@@ -535,15 +536,16 @@ class TestMethodTable:
             kept = sn_select(s, beta)
             return sn_one_step(alpha - 2 * beta, len(kept), s.n), kept
         draws = mb_draws if "mb" in method else eb_draws
+        stream = stream.child("MB" if "mb" in method else "EB")
         if method.endswith("1"):
-            crit = draws(x, s, None, B, stream.child("crit"))
+            crit = draws(x, s, None, B, stream)
             return empirical_quantile(crit, 1 - alpha), everything
         if method.endswith("2"):
-            sel = draws(x, s, None, B, stream.child("select"))
+            sel = draws(x, s, None, B, stream)
             kept = threshold_select(s, -2.0 * empirical_quantile(sel, 1 - beta))
         else:
             kept = sn_select(s, beta)
-        crit = draws(x, s, kept, B, stream.child("crit"))
+        crit = draws(x, s, kept, B, stream)
         return empirical_quantile(crit, 1 - alpha + 2 * beta), kept
 
     @pytest.mark.parametrize(
@@ -563,8 +565,9 @@ class TestMethodTable:
 class TestRunTests:
     """``run_tests`` shares one all-column pass per scheme among the methods on a sample.
 
-    The pass lives on the scheme's child of the stream; a cutoff over a
-    selected set draws on the method's ``crit`` child, as in ``run_test``.
+    Every draw lives on the scheme's child of the stream, the pass and a
+    cutoff over a selected set alike, so each decision is ``run_test``'s on
+    the same stream.
     """
 
     ALPHA, BETA, B = 0.05, 0.004, 300
@@ -591,7 +594,7 @@ class TestRunTests:
         methods = ("sn1", "sn2", "hyb-mb", "hyb-eb", "mb1", "mb2", "eb1", "eb2")
         got = self.run(x, methods, rep)
         for m in ("sn1", "sn2", "hyb-mb", "hyb-eb"):
-            assert got[m] == run_test(x, self.spec(m), stream=rep.child(m))
+            assert got[m] == run_test(x, self.spec(m), stream=rep)
 
     def test_one_step_cutoffs_are_quantiles_of_the_shared_pass(self, x):
         rep = SeededStream(5).child("mc", 1)
@@ -614,9 +617,25 @@ class TestRunTests:
         rep = SeededStream(5).child("mc", 3)
         for m in ("mb2", "eb2"):
             got = self.run(x, (m,), rep)[m]
-            lone = run_test(x, self.spec(m), stream=rep.child(m))
+            lone = run_test(x, self.spec(m), stream=rep)
             assert got.selected == lone.selected == (1, 2, 3, 4)
             assert got.critical_value == lone.critical_value
+
+    def test_run_test_is_run_tests_of_one_spec(self, x):
+        rep = SeededStream(5).child("mc", 5)
+        methods = list(METHODS)
+        np.random.default_rng(5).shuffle(methods)
+        specs = [self.spec(m) for m in methods]
+        for spec, d in zip(specs, run_tests(x, specs, rep)):
+            assert run_test(x, spec, stream=rep) == d, spec.method
+
+    @pytest.mark.parametrize("method", ["sn1", "sn2"])
+    def test_an_analytic_spec_ignores_its_seed(self, x, method):
+        # the SN formula draws nothing, so no stream is built from the seed
+        d = run_test(x, CriticalValueSpec(method, seed=-1), include_diagnostics=True)
+        seeded = run_test(x, CriticalValueSpec(method), include_diagnostics=True)
+        assert d.method.seed == -1
+        assert dataclasses.replace(d, method=seeded.method) == seeded
 
     def test_other_methods_and_their_order_change_nothing(self, x):
         rep = SeededStream(5).child("mc", 4)

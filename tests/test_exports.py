@@ -48,6 +48,8 @@ DELETED = [
     "covariance_factor",
     "_column_sds",
     "exact_scores",
+    "_fresh",
+    "_critical",
 ]
 
 
@@ -143,6 +145,28 @@ def test_blas_threads_are_set_only_by_the_pool_pin():
             if isinstance(name, str) and "num_threads" in name.lower():
                 users.add((path.stem, owner.get(id(node), "<module>")))
     assert users == {("simulate", "_openblas")}
+
+
+def test_bootstrap_streams_branch_only_in_the_provider():
+    # every draw of a test lives on ``stream.child(scheme)``, taken in one place
+    owners = []
+    for path, tree, owner in package_sources():
+        if path.stem == "bootstrap":
+            owners += [
+                owner.get(id(node), "<module>") for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "child"
+            ]
+    assert owners == ["draws"]
+
+
+def test_no_test_keeps_select_or_crit_stream_children():
+    users = [
+        (path.stem, owner.get(id(node), "<module>"))
+        for path, tree, owner in package_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ("select", "crit")
+    ]
+    assert users == []
 
 
 def test_the_monte_carlo_loop_runs_every_method_through_run_tests():

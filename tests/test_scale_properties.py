@@ -147,13 +147,14 @@ class TestMethods:
         got = outcome(run_tests, scaled(y, e), specs, stream)
         assert got == outcome(run_tests, y, specs, stream)
         if covers(cols, x.shape[1]):
+            if len(cols) > x.shape[1]:
+                specs = [s for s in specs if s.method in DUPLICATION_SAFE]
+                got = outcome(run_tests, y, specs, stream)
             base = outcome(run_tests, x, specs, stream)
-            if isinstance(got, type) or isinstance(base, type):
+            if isinstance(got, type):
                 assert got == base
-                return
-            for m, a, b in zip(methods, got, base):
-                if len(cols) == x.shape[1] or m in DUPLICATION_SAFE:
-                    assert relabeled(cols, a) == labeled(b), m
+            else:
+                assert [relabeled(cols, d) for d in got] == [labeled(d) for d in base]
 
 
 class TestThreeStep:

@@ -17,6 +17,7 @@ from momentineq import (
     draw_sample,
     power_sweep,
     run_mc,
+    run_test,
 )
 from momentineq import bootstrap, core, simulate
 from momentineq.gaussian import open_uniform
@@ -182,8 +183,10 @@ class TestRunMc:
                 # alpha + 0.03 plus two binomial standard errors of slack
                 assert result.rates[m] <= 0.05 + 0.03 + 2 * 0.0155, (design_id, m)
 
-    def test_one_replication_shares_a_pass_per_scheme_and_one_summary(self, monkeypatch):
-        calls = []
+    @staticmethod
+    def counted_replication(monkeypatch, design):
+        """The decisions and the pass and summary calls of one ``run_mc`` replication."""
+        calls, decisions = [], []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -191,16 +194,45 @@ class TestRunMc:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def recorded(*args):
+            decisions.extend(run_tests(*args))
+            return decisions[-4:]
+
+        run_tests = simulate.run_tests
+        monkeypatch.setattr(simulate, "run_tests", recorded)
         for name in ("_mb_values", "_eb_values"):
             monkeypatch.setattr(bootstrap, name, counted(name, getattr(bootstrap, name)))
         summarize = counted("summarize", core.summarize)
         for module in (core, bootstrap):
             monkeypatch.setattr(module, "summarize", summarize)
-        # design 1 keeps every column binding, so both selections are nonempty
-        design = DesignSpec(1, 60, 5, 0.0, "uniform")
         run_mc(design, McConfig(sims=1, bootstrap_reps=200,
                                 methods=("mb1", "mb2", "eb1", "eb2"), seed=3))
-        assert sorted(calls) == ["_eb_values"] * 2 + ["_mb_values"] * 2 + ["summarize"]
+        return [len(d.selected) for d in decisions], sorted(calls)
+
+    def test_one_replication_shares_a_pass_per_scheme_and_one_summary(self, monkeypatch):
+        # design 1 keeps every column binding, so both selections keep all
+        # five columns and their cutoffs reuse the all-column pass
+        kept, calls = self.counted_replication(monkeypatch, DesignSpec(1, 60, 5, 0.0, "uniform"))
+        assert kept == [5, 5, 5, 5]
+        assert calls == ["_eb_values", "_mb_values", "summarize"]
+
+    def test_a_selection_that_drops_a_column_adds_one_pass_per_scheme(self, monkeypatch):
+        # design 2 with gamma = 0.4 makes the last three of five columns slack
+        design = DesignSpec(2, 200, 5, 0.0, "uniform", gamma=0.4)
+        kept, calls = self.counted_replication(monkeypatch, design)
+        assert kept == [5, 2, 5, 2]
+        assert calls == ["_eb_values"] * 2 + ["_mb_values"] * 2 + ["summarize"]
+
+    def test_each_replication_decides_as_run_test(self):
+        design = DesignSpec(8, 400, 10, 0.5, "t4", gamma=0.3)
+        mc = McConfig(sims=8, bootstrap_reps=200, methods=tuple(core.METHODS), seed=7)
+        reps = [SeededStream(7).child("mc", k) for k in range(mc.sims)]
+        lone = [[float(run_test(draw_sample(design, rep), spec, stream=rep).reject)
+                 for spec in mc.specs()] for rep in reps]
+        got = simulate._rejections(mc, lambda rep: [draw_sample(design, rep)])[:, 0]
+        assert got.tolist() == lone
+        assert 0.0 < got.mean() < 1.0  # some replications reject and some do not
+        assert run_mc(design, mc).rates == dict(zip(mc.methods, got.mean(axis=0)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from momentineq import (
     summarize,
     three_step_test,
 )
-from momentineq.bootstrap import _quantile, _values
+from momentineq.bootstrap import _provider, _quantile, _values
 from momentineq.threestep import _flat_gradient_summary, _sets
 
 
@@ -269,6 +269,7 @@ class TestThreeStepTest:
         )
         cfg = ThreeStepConfig(alpha=0.05, beta=0.005, replications=300, seed=24)
         d = three_step_test(data, cfg)
-        j_hat, j_prime, j_dprime = _sets(data, summarize(data.g), cfg, SeededStream(24))
+        s, stream = summarize(data.g), SeededStream(24)
+        j_hat, j_prime, j_dprime = _sets(data, s, cfg, stream, _provider(data.g, s, stream))
         assert d.sets == (j_hat, j_prime, j_dprime)
         assert d.selected == tuple(sorted(j_hat & j_dprime))
