@@ -293,7 +293,8 @@ def _select(rule: Rule, s: MomentSummary, beta, B, draws) -> frozenset[int]:
         return frozenset(range(1, s.p + 1))
     if rule.selection == "sn":
         return sn_select(s, beta)
-    return threshold_select(s, -2.0 * _quantile(draws(rule.scheme, B, np.arange(s.p)), 1.0 - beta))
+    vals = draws(rule.scheme, B, np.arange(s.p))
+    return threshold_select(s, -2.0 * _quantile(vals, 1.0 - beta))
 
 
 def _cutoff(rule: Rule, s: MomentSummary, selected, alpha, beta, B, draws) -> float:
