@@ -38,7 +38,12 @@ pass, so a warm pass maps no fresh pages.  The weight block is bounded by
 product by ``64 / n`` times that.  A thread keeps workspaces of at most
 ``_CHUNK_SCALARS`` scalars until it ends (a larger block lives for its pass
 only); they never leave this module, and every array returned to a caller is
-its own.
+its own.  A weight block that is one chunk is kept past its pass: until the
+thread's next pass with another ``(stream, builder, B, rows)`` overwrites
+it, a pass with the same four (the cutoff over a two-step selection, a
+shifted sample of the same replication) takes its products from the kept
+block (see :func:`_rowmax_draws`).  A block is a function of those four
+alone, so no bit moves, and no memory is added.
 """
 
 from __future__ import annotations
@@ -100,6 +105,11 @@ _PIECE_SCALARS = 32_768
 # Per-thread workspaces of the draw loop (see _buffer): the weight block and
 # the per-block product.  Threads of a pool never share one.
 _workspace = threading.local()
+
+# Per thread, which block the "weights" workspace holds: the (stream,
+# builder, B, rows) of the last one-chunk pass, or None.  It sits outside
+# _workspace, which holds arrays only.
+_held = threading.local()
 
 
 @dataclass(frozen=True)
@@ -196,8 +206,21 @@ def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream,
     :func:`_blocked_rowmax`, it is never returned.  The builders
     consume the generator in the block's row-major order, piece by piece, so
     pieces draw the same bits as one call over the whole block.
+
+    A block is a function of ``(stream, weights, B, rows)`` alone.  When the
+    whole block is one chunk (``B * rows <= _CHUNK_SCALARS``) the loop
+    records that tuple, and the next pass with an equal tuple on this thread
+    uses the workspace as it stands instead of building it again: the
+    selection pass and the cutoff pass of a two-step test, or the shifted
+    samples of one replication.  Each pass opens a fresh generator on its
+    stream, so skipping a build moves no bit.  Every other pass clears the
+    record before it writes, and nothing else asks for the workspace.
     """
     rows = target.shape[0]
+    key = (stream, weights, B, rows) if B * rows <= _CHUNK_SCALARS else None
+    if key is not None and key == getattr(_held, "block", None):
+        return _blocked_rowmax(_buffer("weights", (B, rows)), target, shift)
+    _held.block = None
     gen = stream.generator()
     out = np.empty(B)
     step = max(1, min(B, _CHUNK_SCALARS // max(rows, 1)))
@@ -205,6 +228,7 @@ def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream,
         stop = min(start + step, B)
         block = weights(gen, _buffer("weights", (stop - start, rows)))
         out[start:stop] = _blocked_rowmax(block, target, shift)
+    _held.block = key
     return out
 
 

@@ -92,7 +92,8 @@ def bmb_test(sample, plan: BlockPlan, alpha: float, B: int,
     Each replication draws one N(0,1) multiplier per large block and records
     ``max_j (mq)^(-1/2) * sum_l eps_l * sum_{i in I_l} (x_ij - mean_j)``;
     the cutoff is the ``1 - alpha`` empirical quantile of ``B``
-    replications.
+    replications.  A cutoff past the float range raises
+    :class:`~momentineq.errors.UndefinedCriticalValueError`.
     """
     B = int(B)
     check_sizes(alpha, replications=B)
@@ -111,5 +112,7 @@ def bmb_test(sample, plan: BlockPlan, alpha: float, B: int,
     block_sums = np.stack([xc[a:b].sum(axis=0) for a, b in plan.large_blocks])
     scale = 1.0 / math.sqrt(plan.m * plan.q)
     draws = _rowmax_draws(_normal_weights, block_sums, B, stream) * scale
-    cv = math.ldexp(_quantile(draws, 1.0 - alpha), k)
+    # A cutoff past the float range scales back to inf, which exceeds names
+    with np.errstate(over="ignore"):
+        cv = np.ldexp(_quantile(draws, 1.0 - alpha), k)
     return decide(MomentSummary(s.means, np.ones(s.p), s.n), cv, range(1, s.p + 1), "bmb")

@@ -6,6 +6,9 @@ The rejection-rate targets are the benchmark values for the eight designs at
 n = 400 with 1000 simulations and 1000 bootstrap replications; tolerances are
 about three binomial standard errors unless stated otherwise.  Criteria that
 assert exact equalities use no tolerance at all.
+
+Every criterion carries the ``slow`` marker: ``pytest -m "not slow"`` runs
+the rest of the suite alone.
 """
 
 import dataclasses
@@ -20,6 +23,8 @@ import momentineq as mi
 from momentineq.gaussian import open_uniform
 
 SEED = 20240311
+
+pytestmark = pytest.mark.slow
 
 
 @contextmanager

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,18 +18,26 @@ from momentineq import (
     BootstrapDraws,
     CriticalValueSpec,
     DegenerateColumnError,
+    DesignSpec,
+    McConfig,
+    ParametricMomentData,
     SeededStream,
+    ThreeStepConfig,
     UndefinedCriticalValueError,
     bmb_test,
+    draw_sample,
     eb_draws,
     empirical_quantile,
     make_blocks,
     mb_draws,
+    power_sweep,
+    run_mc,
     run_test,
     run_tests,
     sn_one_step,
     sn_select,
     summarize,
+    three_step_test,
 )
 from momentineq import bootstrap
 from momentineq.core import METHODS
@@ -277,6 +286,150 @@ class TestPiecewiseWeights:
         sizes = {name: buf.nbytes for name, buf in vars(bootstrap._workspace).items()}
         assert set(sizes) == {"weights", "prod"}
         assert max(sizes.values()) <= 32_000_000
+
+
+def on_fresh_thread(fn, *args):
+    """``fn(*args)`` on a new thread, whose empty workspace makes its first pass build."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def lone_cutoff(x, scheme, cols, level, B, stream):
+    """The ``level`` quantile of one pass over ``cols`` on ``stream.child(scheme)``, built fresh."""
+    cols0 = np.asarray(sorted(cols), dtype=np.intp) - 1
+    return on_fresh_thread(lambda: bootstrap._quantile(bootstrap._values(
+        scheme, x, summarize(x), cols0, B, stream.child(scheme)), level))
+
+
+def sparse_sample(n=200, p=30, seed=3):
+    """Three columns at the boundary and the rest deep in the slack, so two-step sets are strict."""
+    x = np.random.default_rng(seed).normal(size=(n, p))
+    x[:, 3:] -= 0.75
+    return x
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The shape of every multiplier block built from here on."""
+    shapes = []
+    original = bootstrap._normal_weights
+
+    def counted(gen, out):
+        shapes.append(out.shape)
+        return original(gen, out)
+
+    monkeypatch.setattr(bootstrap, "_normal_weights", counted)
+    return shapes
+
+
+class TestHeldBlock:
+    """A one-chunk weight block is built once per stream, builder, ``B`` and row count.
+
+    The references run on a fresh thread, so their first pass always
+    builds; the cutoffs over selected sets are recomputed as lone passes.
+    """
+
+    ALPHA, BETA, B = 0.05, 0.001, 400
+
+    def specs(self, methods=tuple(METHODS)):
+        return [CriticalValueSpec(m, self.ALPHA, self.BETA, self.B) for m in methods]
+
+    def check_cutoffs(self, x, specs, decisions, stream):
+        for spec, d in zip(specs, decisions):
+            rule = METHODS[spec.method]
+            if rule.scheme != "SN" and d.selected:
+                level = 1.0 - self.ALPHA + rule.m * self.BETA
+                assert d.critical_value == lone_cutoff(
+                    x, rule.scheme, d.selected, level, self.B, stream)
+
+    def test_a_strict_two_step_selection_builds_one_block(self, builds):
+        design = DesignSpec(8, 200, 40, 0.5, "t4")
+        mc = McConfig(sims=1, bootstrap_reps=self.B, methods=("mb1", "mb2"), seed=2)
+        rep = SeededStream(2).child("mc", 0)
+        kept = on_fresh_thread(lambda: run_test(draw_sample(design, rep), mc.specs()[1],
+                                                stream=rep).selected)
+        assert 0 < len(kept) < design.p
+        builds.clear()
+        run_mc(design, mc)
+        assert builds == [(self.B, design.n)]
+
+    def test_a_power_sweep_replication_builds_one_block(self, builds):
+        mc = McConfig(sims=2, bootstrap_reps=self.B, methods=("sn1", "mb1"), seed=4)
+        power_sweep(100, 20, 0.5, [0.0, 0.1, 0.2, 0.3], mc)
+        assert builds == [(self.B, 100)] * 2
+
+    def test_a_selection_keeping_every_column_builds_one_block(self, builds):
+        x = sample_with_scores([0.0, 0.5, 1.0, 2.0])
+        (d,) = run_tests(x, self.specs(["mb2"]), SeededStream(6))
+        assert len(d.selected) == 4
+        assert builds == [(self.B, x.shape[0])]
+
+    def test_every_method_matches_a_fresh_thread(self):
+        x, stream = sparse_sample(), SeededStream(7)
+        specs = self.specs()
+        ours = run_tests(x, specs, stream)
+        assert ours == on_fresh_thread(run_tests, x, specs, stream)
+        assert any(0 < len(d.selected) < x.shape[1] for d in ours)
+        self.check_cutoffs(x, specs, ours, stream)
+        # the next call starts from the block the last one left
+        assert run_tests(x, specs[::-1], stream) == ours[::-1]
+
+    def test_three_step_matches_a_fresh_thread(self):
+        # the grad-select pass fills the workspace between the selection and the cutoff
+        rng = np.random.default_rng(11)
+        data = ParametricMomentData(g=sparse_sample(n=200, p=8, seed=12),
+                                    v=rng.normal(size=(200, 8, 2)))
+        cfg = ThreeStepConfig(alpha=self.ALPHA, beta=self.BETA, replications=self.B, seed=9)
+        ours = three_step_test(data, cfg)
+        assert ours == on_fresh_thread(three_step_test, data, cfg)
+        assert 0 < len(ours.selected) < data.p
+        assert ours.critical_value == lone_cutoff(
+            data.g, "MB", ours.selected, 1.0 - self.ALPHA + 4 * self.BETA, self.B,
+            SeededStream(cfg.seed))
+
+    @pytest.mark.parametrize("chunk", [None, 60 * 100], ids=["one-chunk", "multi-chunk-bmb"])
+    def test_draws_around_a_bmb_test_match_a_fresh_thread(self, monkeypatch, chunk):
+        # at 6000 scalars the 100 x 60 blocks are one chunk and the 1000 x 8 bmb block is not
+        if chunk is not None:
+            monkeypatch.setattr(bootstrap, "_CHUNK_SCALARS", chunk)
+        x = np.random.default_rng(13).normal(size=(60, 5))
+        s, plan, S, T = summarize(x), make_blocks(60, 5, 2), SeededStream(14), SeededStream(15)
+        for draws in (mb_draws, eb_draws):
+            first = draws(x, s, None, 100, S).values
+            bmb = bmb_test(x, plan, 0.05, 1000, T)
+            second = draws(x, s, [2, 4], 100, S).values
+            assert first.tobytes() == on_fresh_thread(draws, x, s, None, 100, S).values.tobytes()
+            assert bmb == on_fresh_thread(bmb_test, x, plan, 0.05, 1000, T)
+            assert second.tobytes() == on_fresh_thread(
+                draws, x, s, [2, 4], 100, S).values.tobytes()
+
+    @pytest.mark.parametrize("first, second", [
+        ((mb_draws, 60, 100, 18), (mb_draws, 60, 100, 19)),
+        ((mb_draws, 60, 100, 18), (eb_draws, 60, 100, 18)),
+        ((mb_draws, 60, 100, 18), (mb_draws, 60, 200, 18)),
+        ((eb_draws, 60, 100, 18), (eb_draws, 30, 100, 18)),
+    ], ids=["stream", "builder", "B", "rows"])
+    def test_a_block_differing_in_one_part_matches_a_fresh_thread(self, first, second):
+        x = np.random.default_rng(17).normal(size=(60, 4))
+
+        def run(draws, n, B, seed):
+            y = x[:n]
+            return draws(y, summarize(y), None, B, SeededStream(seed)).values
+
+        run(*first)
+        assert run(*second).tobytes() == on_fresh_thread(run, *second).tobytes()
+
+    def test_nothing_is_kept_when_a_row_exceeds_the_chunk(self, monkeypatch, builds):
+        x, stream, B = sparse_sample(n=50, p=10), SeededStream(16), 100
+        monkeypatch.setattr(bootstrap, "_CHUNK_SCALARS", 49)
+        specs = [CriticalValueSpec("mb2", self.ALPHA, self.BETA, B)]
+        (ours,) = run_tests(x, specs, stream)
+        assert 0 < len(ours.selected) < x.shape[1]
+        # one-row blocks, each a fresh array: both passes build every row
+        assert builds == [(1, 50)] * (2 * B)
+        assert [ours] == on_fresh_thread(run_tests, x, specs, stream)
+        assert run_tests(x, specs, stream) == [ours]
+        assert builds == [(1, 50)] * (6 * B)
 
 
 class TestEmpiricalQuantile:

@@ -468,6 +468,12 @@ class TestCmdBmb:
         path = write_csv(tmp_path / "x.csv", rng.normal(size=(30, 2)))
         assert main(["bmb", "--input", path, "--q", "20", "--r", "5"]) == 3
 
+    def test_cutoff_past_the_float_range_is_precondition_error(self, tmp_path, capsys):
+        col = np.tile([1.5e308, 1.5e308, -1.5e308, -1.5e308], 50)
+        path = write_csv(tmp_path / "big.csv", np.column_stack([col, col, col]))
+        assert main(["bmb", "--input", path, "--q", "2", "--r", "1"]) == 3
+        assert "critical value must be finite" in capsys.readouterr().err
+
 
 class TestCmdDiagnose:
     def test_matches_library(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from scipy.special import ndtri
 
 from momentineq import (
     SeededStream,
+    UndefinedCriticalValueError,
     bmb_test,
     default_block_lengths,
     make_blocks,
@@ -191,6 +192,13 @@ class TestBmbTest:
         b = bmb_test(x, plan, 0.05, 400, SeededStream(9))
         assert a == b
         assert a.method == "bmb"
+
+    def test_cutoff_past_the_float_range_is_named(self):
+        # every entry, mean and sd is finite, but the cutoff scales back past the range
+        col = np.tile([1.5e308, 1.5e308, -1.5e308, -1.5e308], 50)
+        x = np.column_stack([col, col, col])
+        with pytest.raises(UndefinedCriticalValueError, match="finite"):
+            bmb_test(x, make_blocks(200, 2, 1), 0.05, 1000, SeededStream(0))
 
     @pytest.mark.parametrize("alpha", [0.6, 0.9, 0.0])
     def test_alpha_outside_the_test_sizes_is_rejected(self, alpha):

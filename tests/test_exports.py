@@ -159,6 +159,22 @@ def test_bootstrap_streams_branch_only_in_the_provider():
     assert owners == ["draws"]
 
 
+def test_the_weight_workspace_is_asked_for_only_by_the_draw_loop():
+    # the draw loop records which block the workspace holds, so it must be
+    # its only writer: the "weights" name and the record stay inside it
+    weights, record = set(), set()
+    for path, tree, owner in package_sources():
+        for node in ast.walk(tree):
+            where = path.stem, owner.get(id(node), "<module>")
+            if (isinstance(node, ast.Constant) and node.value == "weights"
+                    or isinstance(node, ast.Attribute) and node.attr == "weights"):
+                weights.add(where)
+            elif isinstance(node, ast.Name) and node.id == "_held":
+                record.add(where)
+    assert weights == {("bootstrap", "_rowmax_draws")}
+    assert record == {("bootstrap", "<module>"), ("bootstrap", "_rowmax_draws")}
+
+
 def test_no_test_keeps_select_or_crit_stream_children():
     users = [
         (path.stem, owner.get(id(node), "<module>"))
