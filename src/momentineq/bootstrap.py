@@ -1,11 +1,12 @@
 """Multiplier and empirical bootstrap critical values, and the one pipeline behind all methods.
 
 Both schemes simulate the conditional law of the max of studentized centered
-column averages: the multiplier bootstrap (MB) reweights the centered rows
-with i.i.d. standard normal multipliers, the empirical bootstrap (EB)
-resamples rows with replacement.  Critical values are left-continuous
-empirical quantiles (the ``ceil(level * B)``-th order statistic) of ``B``
-such draws.
+column averages, and both weight the same centered, studentized columns
+``(x_ij - mean_j) / (sqrt(n) sd_j)``: the multiplier bootstrap (MB) by i.i.d.
+standard normal multipliers, the empirical bootstrap (EB) by resampling
+counts, how often each row is drawn with replacement.  Critical values are
+left-continuous empirical quantiles (the ``ceil(level * B)``-th order
+statistic) of ``B`` such draws.
 
 Every critical value is three choices, and :data:`~momentineq.core.METHODS`
 maps each of the eight method names to them: the selection rule (all
@@ -62,10 +63,9 @@ from .core import (
     Rule,
     TestDecision,
     _diagnostics,
-    _scaled_columns,
+    _studentized_columns,
     as_sample_matrix,
     decide,
-    studentized_scores,
     summarize,
 )
 from .errors import DegenerateColumnError
@@ -147,8 +147,8 @@ def _buffer(name: str, shape) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _blocked_rowmax(weights: np.ndarray, g: np.ndarray, shift=None) -> np.ndarray:
-    """Row max of ``weights @ g`` (minus ``shift``) in fixed-width column blocks."""
+def _blocked_rowmax(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row max of ``weights @ g`` in fixed-width column blocks."""
     n, c = g.shape
     prod = _buffer("prod", (weights.shape[0], _COL_BLOCK))
     out = None
@@ -160,10 +160,7 @@ def _blocked_rowmax(weights: np.ndarray, g: np.ndarray, shift=None) -> np.ndarra
             padded[:, :w] = block
             block = padded
         np.matmul(weights, block, out=prod)
-        vals = prod[:, :w]
-        if shift is not None:
-            vals -= shift[s:s + w]
-        m = vals.max(axis=1)
+        m = prod[:, :w].max(axis=1)
         out = m if out is None else np.maximum(out, m, out=out)
     return out
 
@@ -191,11 +188,11 @@ def _count_weights(gen, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream,
-                  shift=None) -> np.ndarray:
-    """``B`` draws of the row max of ``weights(gen, block) @ target`` (minus ``shift``).
+def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream) -> np.ndarray:
+    """``B`` draws of the row max of ``weights(gen, block) @ target``.
 
-    The one draw loop of every bootstrap.  Its chunk height ``k`` depends
+    The one draw loop of every bootstrap: MB and EB differ only in
+    ``weights``, and take the same ``target``.  Its chunk height ``k`` depends
     only on the row count and ``B``, never on the columns, so the column
     invariances hold bit for bit; the BLAS kernel may depend on ``k``, so
     chunked draws can differ from unchunked ones in the last bits.
@@ -219,7 +216,7 @@ def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream,
     rows = target.shape[0]
     key = (stream, weights, B, rows) if B * rows <= _CHUNK_SCALARS else None
     if key is not None and key == getattr(_held, "block", None):
-        return _blocked_rowmax(_buffer("weights", (B, rows)), target, shift)
+        return _blocked_rowmax(_buffer("weights", (B, rows)), target)
     _held.block = None
     gen = stream.generator()
     out = np.empty(B)
@@ -227,22 +224,19 @@ def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream,
     for start in range(0, B, step):
         stop = min(start + step, B)
         block = weights(gen, _buffer("weights", (stop - start, rows)))
-        out[start:stop] = _blocked_rowmax(block, target, shift)
+        out[start:stop] = _blocked_rowmax(block, target)
     _held.block = key
     return out
 
 
 def _mb_values(x, s: MomentSummary, cols0, B, stream) -> np.ndarray:
-    g, ms, ss = _scaled_columns(x, s, cols0)
-    g -= ms
-    g /= math.sqrt(x.shape[0]) * ss
+    g = _studentized_columns(x, s, cols0, math.sqrt(x.shape[0]))
     return _rowmax_draws(_normal_weights, g, B, stream)
 
 
 def _eb_values(x, s: MomentSummary, cols0, B, stream) -> np.ndarray:
-    h, _, ss = _scaled_columns(x, s, cols0)
-    h /= math.sqrt(x.shape[0]) * ss
-    return _rowmax_draws(_count_weights, h, B, stream, shift=studentized_scores(s)[cols0])
+    g = _studentized_columns(x, s, cols0, math.sqrt(x.shape[0]))
+    return _rowmax_draws(_count_weights, g, B, stream)
 
 
 def _values(scheme, x, s: MomentSummary, cols0, B, stream) -> np.ndarray:

@@ -174,6 +174,13 @@ def _decision_json(decision, extra=None) -> str:
     return json.dumps(payload)
 
 
+def _at_least_one(text: str) -> int:
+    """An integer flag value of 1 or more; anything else is a usage error."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _add_seeded(p, beta=True):
     p.add_argument("--alpha", type=float, default=0.05)
     if beta:
@@ -213,7 +220,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("threestep", help="three-step test from g and gradient files")
     p.add_argument("--g", required=True)
     p.add_argument("--v", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_at_least_one, required=True)
     p.add_argument("--phi", type=float, default=None)
     p.add_argument("--scheme", default="mb", choices=["mb", "eb"])
     p.add_argument("--header", action="store_true")
@@ -331,8 +338,6 @@ def cmd_threestep(args) -> int:
     g = read_matrix(args.g, header=args.header)
     vmat = read_matrix(args.v, header=args.header)
     n, p = g.shape
-    if args.r < 1:
-        raise InputError("parameter dimension --r must be at least 1")
     if vmat.shape != (n, p * args.r):
         raise InputError(
             f"gradient file must be n x (p*r) = {n} x {p * args.r}, "

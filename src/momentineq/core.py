@@ -190,14 +190,16 @@ def summarize(sample, centers=None) -> MomentSummary:
                          e=e, ms=ms, ss=ss)
 
 
-def _scaled_columns(x: np.ndarray, s: MomentSummary, cols0: np.ndarray):
-    """``(xs, ms, ss)``: the columns ``cols0`` of ``x`` times ``2^-e``, and their scaled moments.
+def _studentized_columns(x: np.ndarray, s: MomentSummary, cols0: np.ndarray, c: float):
+    """Columns ``cols0`` of ``x``, centered and over ``c`` sds: ``(x_j 2^-e_j - ms_j) / (c ss_j)``.
 
-    ``cols0`` is an index array, so ``xs`` is a copy the caller may change in place.
+    From the scaled columns, so no deviation overflows; always a fresh copy.
     """
-    xs = x[:, cols0]
-    np.ldexp(xs, -s.e[cols0], out=xs)
-    return xs, s.ms[cols0], s.ss[cols0]
+    z = x[:, cols0]
+    np.ldexp(z, -s.e[cols0], out=z)
+    z -= s.ms[cols0]
+    z /= c * s.ss[cols0]
+    return z
 
 
 def studentized_scores(summary: MomentSummary) -> np.ndarray:
@@ -263,10 +265,7 @@ def regularity_diagnostics(sample) -> RegularityDiagnostics:
 
 def _diagnostics(x: np.ndarray, s: MomentSummary) -> RegularityDiagnostics:
     """The diagnostics of a validated sample ``x`` from its summary ``s`` (no degenerate column)."""
-    # standardized from the scaled columns, so the deviations cannot overflow
-    z, ms, ss = _scaled_columns(x, s, np.arange(s.p))
-    z -= ms
-    z /= ss
+    z = _studentized_columns(x, s, np.arange(s.p), 1.0)
     z2 = z * z
     m3 = float(np.mean(np.abs(z) ** 3, axis=0).max() ** (1 / 3))
     m4 = float(np.mean(z2 * z2, axis=0).max() ** 0.25)

@@ -131,6 +131,28 @@ class TestDrawEngines:
         assert np.all(sub.values <= full.values)
 
 
+class TestSlackColumnFarBelowZero:
+    """EB weights the centered columns, so a huge slack mean cannot cancel into its draws."""
+
+    @pytest.fixture(scope="class")
+    def x(self):
+        rng = np.random.default_rng(0)
+        return np.column_stack([-1e15 + rng.normal(size=200), 0.25 + rng.normal(size=200)])
+
+    def test_eb_draws_equal_the_centered_reference(self, x):
+        n, B = x.shape[0], 1000
+        s = summarize(x)
+        d = eb_draws(x, s, None, B, SeededStream(1))
+        counts = bootstrap._count_weights(SeededStream(1).generator(), np.empty((B, n)))
+        # x - mean is exact here (Sterbenz), so only the product rounds
+        reference = (counts @ ((x - s.means) / (math.sqrt(n) * s.sds))).max(axis=1)
+        np.testing.assert_allclose(d.values, reference, rtol=0, atol=1e-12)
+
+    def test_eb1_rejects_as_mb1_does(self, x):
+        for method in ("mb1", "eb1"):
+            assert run_test(x, CriticalValueSpec(method, replications=1000, seed=1)).reject
+
+
 class TestChunkedInvariances:
     """Chunk heights depend on the rows and ``B`` only, so the column invariances stay exact.
 

@@ -431,6 +431,14 @@ class TestCmdThreestep:
         vp = write_csv(tmp_path / "v.csv", rng.normal(size=(30, 5)))
         assert main(["threestep", "--g", gp, "--v", vp, "--r", "2"]) == 2
 
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_r_below_one_is_usage_error_before_any_file_is_read(self, tmp_path, capsys, r):
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["threestep", "--g", missing, "--v", missing, "--r", r])
+        assert exc.value.code == 64
+        assert "--r" in capsys.readouterr().err
+
 
 class TestCmdBmb:
     def test_happy_path(self, tmp_path, capsys):

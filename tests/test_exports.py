@@ -50,6 +50,7 @@ DELETED = [
     "exact_scores",
     "_fresh",
     "_critical",
+    "_scaled_columns",
 ]
 
 
@@ -124,6 +125,31 @@ def test_matrix_products_are_taken_only_by_the_blocked_rowmax():
             if product:
                 users.append((path.stem, owner.get(id(node), "<module>")))
     assert users == [("bootstrap", "_blocked_rowmax")]
+
+
+def test_both_schemes_and_the_diagnostics_build_one_studentized_target():
+    # MB and EB weight the same centered columns; only the builder differs
+    callers = set()
+    for path, tree, owner in package_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == (
+                        "_studentized_columns"):
+                    callers.add((path.stem, owner.get(id(node), "<module>")))
+    assert callers == {
+        ("bootstrap", "_mb_values"), ("bootstrap", "_eb_values"), ("core", "_diagnostics"),
+    }
+
+
+def test_no_bootstrap_function_takes_a_shift():
+    path = Path(momentineq.__file__).parent / "bootstrap.py"
+    takers = [
+        fn.name for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in ast.walk(fn.args) if isinstance(arg, ast.arg) and arg.arg == "shift"
+    ]
+    assert takers == []
 
 
 def test_blas_threads_are_set_only_by_the_pool_pin():
