@@ -50,6 +50,7 @@ alone, so no bit moves, and no memory is added.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -252,7 +253,7 @@ def _values(scheme, x, s: MomentSummary, cols0, B, stream) -> np.ndarray:
 def _draws(scheme, sample, summary: MomentSummary, J, B: int, stream: SeededStream) -> BootstrapDraws:
     x = as_sample_matrix(sample)
     cols0 = _columns_mask(J, summary.p)
-    values = _values(scheme, x, summary, cols0, int(B), stream)
+    values = _values(scheme, x, summary, cols0, operator.index(B), stream)
     return BootstrapDraws(values=values, restricted_to=frozenset(int(c) + 1 for c in cols0))
 
 

@@ -228,8 +228,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bmb", help="block multiplier bootstrap test")
     p.add_argument("--input", required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--q", type=_at_least_one, default=None)
+    p.add_argument("--r", type=_at_least_one, default=None)
     p.add_argument("--header", action="store_true")
     _add_seeded(p, beta=False)
 

@@ -15,6 +15,7 @@ from 1 in all reporting (selected sets, error messages).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -72,8 +73,8 @@ def check_sizes(alpha, beta=None, *, cap=None, replications=None, seed=None):
     ``alpha`` must lie in (0, 0.5).  ``beta``, when given, must be finite;
     with ``cap = (d, closed)`` it must also be positive and below
     ``alpha / d`` (at most that when ``closed``).  ``replications``, when
-    given, must be at least 100, and ``seed`` must fit in an unsigned 64-bit
-    integer.
+    given, must be an integer of at least 100, and ``seed`` an integer that
+    fits in an unsigned 64-bit integer.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
@@ -86,6 +87,9 @@ def check_sizes(alpha, beta=None, *, cap=None, replications=None, seed=None):
                 f"beta must satisfy 0 < beta {'<=' if closed else '<'} alpha/{d}, "
                 f"got beta={beta} with alpha={alpha}"
             )
+    for name, value in (("replications", replications), ("seed", seed)):
+        if value is not None and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if replications is not None and replications < 100:
         raise ValueError(
             "need at least 100 bootstrap replications for a usable quantile"

@@ -34,6 +34,7 @@ from .gaussian import SeededStream
 __all__ = [
     "BlockPlan",
     "make_blocks",
+    "default_block_lengths",
     "bmb_test",
 ]
 
@@ -95,7 +96,6 @@ def bmb_test(sample, plan: BlockPlan, alpha: float, B: int,
     replications.  A cutoff past the float range raises
     :class:`~momentineq.errors.UndefinedCriticalValueError`.
     """
-    B = int(B)
     check_sizes(alpha, replications=B)
     x = as_sample_matrix(sample)
     if plan.n != x.shape[0]:

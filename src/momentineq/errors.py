@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "InputError",
+    "DegenerateColumnError",
+    "UndefinedCriticalValueError",
+    "GridPointError",
+]
+
 
 class InputError(ValueError):
     """Malformed input data: non-finite entries, bad shapes, unreadable files."""

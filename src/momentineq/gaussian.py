@@ -1,4 +1,4 @@
-"""Standard-normal CDF/quantile and reproducible random substreams.
+"""Reproducible random substreams and standard normal draws.
 
 Every randomized procedure in this package draws from a :class:`SeededStream`,
 a value type identifying a substream by ``(master_seed, path)``.  The stream's
@@ -12,47 +12,18 @@ reproducibility, independent of the values drawn.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 __all__ = [
     "SeededStream",
-    "normal_cdf",
-    "normal_quantile",
     "standard_normal_draws",
 ]
 
 _U53 = 0.5 ** 53  # spacing of the open-interval uniform grid
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal distribution function, accurate to ~1e-16.
-
-    Raises
-    ------
-    ValueError
-        If ``x`` is not finite.
-    """
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValueError(f"normal_cdf requires a finite argument, got {x}")
-    return float(ndtr(x))
-
-
-def normal_quantile(u: float) -> float:
-    """Standard normal quantile function on (0, 1).
-
-    Raises
-    ------
-    ValueError
-        If ``u`` lies outside the open interval (0, 1).
-    """
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"normal_quantile requires 0 < u < 1, got {u}")
-    return float(ndtri(u))
 
 
 @dataclass(frozen=True)
@@ -78,11 +49,11 @@ class SeededStream:
     path: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        seed = int(self.master_seed)
+        seed = operator.index(self.master_seed)
         if not 0 <= seed < 2 ** 64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "master_seed", seed)
-        norm = tuple((str(label), int(index)) for label, index in self.path)
+        norm = tuple((str(label), operator.index(index)) for label, index in self.path)
         for label, index in norm:
             if index < 0:
                 raise ValueError("path indices must be nonnegative")

@@ -320,6 +320,8 @@ def power_sweep(n: int, p: int, rho: float, r_values, mc: McConfig) -> PowerCurv
     r_values = tuple(float(r) for r in r_values)
     if any(r < 0 for r in r_values):
         raise ValueError("signal strengths must be nonnegative")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
 
     def shifted(rep):
         eps = _innovations(rep.generator(), n, p, "normal")

@@ -471,6 +471,16 @@ class TestCmdBmb:
             main(["bmb", "--input", path, "--beta", "0.3"])
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize("flag", ["--q", "--r"])
+    def test_block_length_below_one_is_usage_error_before_any_file_is_read(
+            self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["bmb", "--input", str(tmp_path / "missing.csv"), flag, "0"])
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert flag in err
+        assert len([line for line in err.splitlines() if "error" in line]) == 1
+
     def test_infeasible_blocks_are_precondition_error(self, tmp_path, capsys):
         rng = np.random.default_rng(43)
         path = write_csv(tmp_path / "x.csv", rng.normal(size=(30, 2)))

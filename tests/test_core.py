@@ -9,8 +9,15 @@ from hypothesis.extra.numpy import arrays
 from momentineq import (
     CriticalValueSpec,
     InputError,
+    McConfig,
+    SeededStream,
+    ThreeStepConfig,
     as_sample_matrix,
+    bmb_test,
+    eb_draws,
     exceeds,
+    make_blocks,
+    mb_draws,
     regularity_diagnostics,
     run_test,
     studentized_scores,
@@ -361,9 +368,38 @@ class TestCriticalValueSpec:
         with pytest.raises(ValueError):
             CriticalValueSpec("eb1", replications=50)
         CriticalValueSpec("sn1", replications=50)  # analytic: ignored
+        CriticalValueSpec("sn1", replications=1000.5, seed=1.5)
 
     @pytest.mark.parametrize("method", ["sn1", "mb1", "eb1", "sn2", "mb2", "hyb-eb"])
     @pytest.mark.parametrize("beta", [float("inf"), float("nan")])
     def test_rejects_non_finite_beta_for_every_method(self, method, beta):
         with pytest.raises(ValueError, match="beta"):
             CriticalValueSpec(method, beta=beta)
+
+
+_X = np.random.default_rng(5).normal(size=(40, 3))
+
+
+class TestIntegerSettings:
+    # a float count or seed is refused, never truncated to a nearby integer
+    @pytest.mark.parametrize("make, error", [
+        (lambda: CriticalValueSpec("mb1", replications=1000.5), ValueError),
+        (lambda: CriticalValueSpec("mb1", replications=1000.0), ValueError),
+        (lambda: CriticalValueSpec("mb1", seed=1.5), ValueError),
+        (lambda: ThreeStepConfig(alpha=0.05, replications=500.5), ValueError),
+        (lambda: McConfig(sims=5, bootstrap_reps=100.5), ValueError),
+        (lambda: McConfig(sims=5, seed=2.5), ValueError),
+        (lambda: bmb_test(_X, make_blocks(40, 3, 1), 0.05, 1000.7, SeededStream(1)), ValueError),
+        (lambda: mb_draws(_X, summarize(_X), None, 150.9, SeededStream(1)), TypeError),
+        (lambda: eb_draws(_X, summarize(_X), None, 150.9, SeededStream(1)), TypeError),
+        (lambda: SeededStream(1.5), TypeError),
+    ], ids=["spec-B", "spec-B-whole", "spec-seed", "threestep-B", "mc-B", "mc-seed",
+            "bmb-B", "mb-draws-B", "eb-draws-B", "stream-seed"])
+    def test_non_integer_is_refused(self, make, error):
+        with pytest.raises(error, match="integer"):
+            make()
+
+    def test_numpy_integers_pass(self):
+        spec = CriticalValueSpec("mb1", replications=np.int64(300), seed=np.uint64(3))
+        assert run_test(_X, spec) == run_test(_X, CriticalValueSpec("mb1", replications=300, seed=3))
+        assert mb_draws(_X, summarize(_X), None, np.int32(150), SeededStream(1)).values.shape == (150,)

@@ -12,7 +12,6 @@ from momentineq import (
     bmb_test,
     default_block_lengths,
     make_blocks,
-    normal_quantile,
     summarize,
 )
 from momentineq.bootstrap import _blocked_rowmax, _quantile
@@ -133,7 +132,7 @@ class TestBmbCritical:
         sums = np.array([ (x[a:b] - s.means).sum() for a, b in plan.large_blocks ])
         s_c = math.sqrt((sums ** 2).sum() / (plan.m * plan.q))
         cv = bmb_cutoff(x, plan, 0.05, 40_000, SeededStream(4))
-        assert abs(cv - s_c * normal_quantile(0.95)) <= 0.05 * s_c
+        assert abs(cv - s_c * ndtri(0.95)) <= 0.05 * s_c
         # with long blocks the conditional scale is close to the sample sd
         assert abs(s_c - s.sds[0]) <= 0.2 * s.sds[0]
 

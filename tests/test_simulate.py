@@ -278,6 +278,12 @@ class TestPowerSweep:
         with pytest.raises(ValueError):
             power_sweep(50, 3, 0.0, [-0.1, 0.2], mc)
 
+    @pytest.mark.parametrize("rho", [-0.5, 1.0, 1.5, float("nan")])
+    def test_rejects_rho_outside_the_unit_interval_before_any_replication(self, rho, monkeypatch):
+        monkeypatch.setattr(simulate, "_rejections", lambda *a: pytest.fail("replications ran"))
+        with pytest.raises(ValueError, match="rho"):
+            power_sweep(40, 3, rho, [0.0], McConfig(sims=2, methods=("sn1",), seed=1))
+
 
 @pytest.fixture
 def blas():
