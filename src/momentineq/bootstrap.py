@@ -50,7 +50,6 @@ alone, so no bit moves, and no memory is added.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from dataclasses import dataclass
 
@@ -66,6 +65,7 @@ from .core import (
     _diagnostics,
     _studentized_columns,
     as_sample_matrix,
+    check_count,
     decide,
     summarize,
 )
@@ -125,9 +125,7 @@ def _columns_mask(J, p: int) -> np.ndarray:
     """Validate a 1-based column set against ``p`` and return a 0-based index array."""
     if J is None:
         return np.arange(p)
-    cols = sorted({int(j) for j in J})
-    if cols and (cols[0] < 1 or cols[-1] > p):
-        raise ValueError(f"column set {cols} not within 1..{p}")
+    cols = sorted({check_count("column", j, least=1, below=p + 1) for j in J})
     return np.asarray(cols, dtype=np.intp) - 1
 
 
@@ -253,7 +251,7 @@ def _values(scheme, x, s: MomentSummary, cols0, B, stream) -> np.ndarray:
 def _draws(scheme, sample, summary: MomentSummary, J, B: int, stream: SeededStream) -> BootstrapDraws:
     x = as_sample_matrix(sample)
     cols0 = _columns_mask(J, summary.p)
-    values = _values(scheme, x, summary, cols0, operator.index(B), stream)
+    values = _values(scheme, x, summary, cols0, check_count("B", B), stream)
     return BootstrapDraws(values=values, restricted_to=frozenset(int(c) + 1 for c in cols0))
 
 
@@ -336,6 +334,8 @@ def _provider(x, s: MomentSummary, stream):
     passes = {}
 
     def draws(scheme, B, cols0):
+        if stream is None:
+            raise ValueError(f"the {scheme} bootstrap needs a stream, got None")
         key = scheme, B, cols0.tobytes()
         if key not in passes:
             passes[key] = _values(scheme, x, s, cols0, B, stream.child(scheme))

@@ -15,7 +15,7 @@ from 1 in all reporting (selected sets, error messages).
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -67,14 +67,28 @@ METHODS = {
 }
 
 
-def check_sizes(alpha, beta=None, *, cap=None, replications=None, seed=None):
+def check_count(name, value, least=1, below=2 ** 63) -> int:
+    """The one check of an integer count, seed or index; returns it as an ``int``.
+
+    ``value`` must be an integer in ``[least, below)``: numpy integers pass,
+    while ``bool``, every ``float`` (even ``5.0``) and anything else raise a
+    ``ValueError`` that names ``name``.
+    """
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or not (
+            least <= operator.index(value) < below):
+        raise ValueError(f"{name} must be an integer in [{least}, {below}), got {value!r}")
+    return operator.index(value)
+
+
+def check_sizes(alpha, beta=None, *, cap=None, replications=100, seed=0):
     """The one check of test sizes and bootstrap settings; raises ``ValueError``.
 
     ``alpha`` must lie in (0, 0.5).  ``beta``, when given, must be finite;
     with ``cap = (d, closed)`` it must also be positive and below
-    ``alpha / d`` (at most that when ``closed``).  ``replications``, when
-    given, must be an integer of at least 100, and ``seed`` an integer that
-    fits in an unsigned 64-bit integer.
+    ``alpha / d`` (at most that when ``closed``).  ``replications`` must be
+    an integer of at least 100 (for a usable quantile), and ``seed`` one
+    that fits in an unsigned 64-bit integer; a caller without them leaves
+    them out, and their defaults pass.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
@@ -87,15 +101,8 @@ def check_sizes(alpha, beta=None, *, cap=None, replications=None, seed=None):
                 f"beta must satisfy 0 < beta {'<=' if closed else '<'} alpha/{d}, "
                 f"got beta={beta} with alpha={alpha}"
             )
-    for name, value in (("replications", replications), ("seed", seed)):
-        if value is not None and not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if replications is not None and replications < 100:
-        raise ValueError(
-            "need at least 100 bootstrap replications for a usable quantile"
-        )
-    if seed is not None and not 0 <= int(seed) < 2 ** 64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    check_count("replications", replications, least=100)
+    check_count("seed", seed, least=0, below=2 ** 64)
 
 
 def as_sample_matrix(data) -> np.ndarray:
@@ -300,14 +307,10 @@ class CriticalValueSpec:
             raise ValueError(
                 f"unknown method {self.method!r}; expected one of {tuple(METHODS)}"
             )
-        boot = rule.scheme != "SN"
-        check_sizes(
-            self.alpha,
-            self.beta,
-            cap=rule.cap,
-            replications=self.replications if boot else None,
-            seed=self.seed if boot else None,
-        )
+        # the analytic methods ignore replications and seed
+        counts = {} if rule.scheme == "SN" else {"replications": self.replications,
+                                                 "seed": self.seed}
+        check_sizes(self.alpha, self.beta, cap=rule.cap, **counts)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .core import (
     MomentSummary,
     TestDecision,
     as_sample_matrix,
+    check_count,
     check_sizes,
     decide,
     summarize,
@@ -63,9 +64,7 @@ def make_blocks(n: int, q: int, r: int) -> BlockPlan:
     large/small cycles fit).  The trailing remainder after the last small
     block forms one extra small block.
     """
-    n, q, r = int(n), int(q), int(r)
-    if r < 1:
-        raise ValueError("small-block length r must be at least 1")
+    n, q, r = check_count("n", n), check_count("q", q), check_count("r", r)
     if not r < q:
         raise ValueError(f"need r < q, got q={q}, r={r}")
     if not 2 * (q + r) <= n:
@@ -81,6 +80,7 @@ def make_blocks(n: int, q: int, r: int) -> BlockPlan:
 
 def default_block_lengths(n: int) -> tuple[int, int]:
     """Default ``(q, r)``: ``q = floor(n^(1/3))``, ``r = max(1, floor(n^(1/6)))``."""
+    n = check_count("n", n)
     q = int(n ** (1.0 / 3.0))
     r = max(1, int(n ** (1.0 / 6.0)))
     return q, r

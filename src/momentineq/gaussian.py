@@ -12,11 +12,12 @@ reproducibility, independent of the values drawn.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
+
+from .core import check_count
 
 __all__ = [
     "SeededStream",
@@ -49,15 +50,10 @@ class SeededStream:
     path: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        seed = operator.index(self.master_seed)
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        seed = check_count("master_seed", self.master_seed, least=0, below=2 ** 64)
         object.__setattr__(self, "master_seed", seed)
-        norm = tuple((str(label), operator.index(index)) for label, index in self.path)
-        for label, index in norm:
-            if index < 0:
-                raise ValueError("path indices must be nonnegative")
-        object.__setattr__(self, "path", norm)
+        object.__setattr__(self, "path", tuple(
+            (str(label), check_count("path index", index, least=0)) for label, index in self.path))
 
     def child(self, label: str, index: int = 0) -> "SeededStream":
         """Return the substream ``(label, index)`` below this one."""
@@ -100,6 +96,4 @@ def standard_normal_draws(stream: SeededStream, count: int) -> np.ndarray:
     Uses inversion sampling; identical ``(master_seed, path, count)``
     give bitwise-identical output.
     """
-    if count < 1:
-        raise ValueError("count must be a positive integer")
-    return ndtri(open_uniform(stream.generator(), int(count)))
+    return ndtri(open_uniform(stream.generator(), check_count("count", count)))

@@ -31,7 +31,7 @@ from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from .bootstrap import run_tests
-from .core import CriticalValueSpec, check_sizes
+from .core import CriticalValueSpec, check_count, check_sizes
 from .gaussian import SeededStream, open_uniform
 
 __all__ = [
@@ -60,10 +60,9 @@ class DesignSpec:
     gamma: float = 0.1
 
     def __post_init__(self):
-        if self.design not in range(1, 9):
-            raise ValueError(f"design must be 1..8, got {self.design}")
-        if self.n < 2 or self.p < 1:
-            raise ValueError("need n >= 2 and p >= 1")
+        check_count("design", self.design, below=9)
+        check_count("n", self.n, least=2)
+        check_count("p", self.p)
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         object.__setattr__(self, "dist", str(self.dist).lower())
@@ -147,15 +146,14 @@ class McConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        if self.sims < 1:
-            raise ValueError("sims must be a positive integer")
+        check_count("sims", self.sims)
         object.__setattr__(
             self, "methods", tuple(str(m).lower() for m in self.methods)
         )
         if not self.methods:
             raise ValueError("need at least one method")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be a positive integer")
+        if self.threads is not None:
+            check_count("threads", self.threads)
         # the replication streams hang below the seed whatever the methods
         check_sizes(self.alpha, seed=self.seed)
         self.specs()  # each method's beta, B and seed checks
@@ -317,9 +315,11 @@ def power_sweep(n: int, p: int, rho: float, r_values, mc: McConfig) -> PowerCurv
     Replications run through the same loop as :func:`run_mc`, so
     ``mc.threads`` applies and never changes the result.
     """
+    check_count("n", n, least=2)
+    check_count("p", p)
     r_values = tuple(float(r) for r in r_values)
-    if any(r < 0 for r in r_values):
-        raise ValueError("signal strengths must be nonnegative")
+    if any(not 0 <= r < math.inf for r in r_values):
+        raise ValueError(f"signal strengths must be finite and nonnegative, got {r_values}")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-from .core import MomentSummary, check_sizes, studentized_scores
+from .core import MomentSummary, check_count, check_sizes, studentized_scores
 from .errors import UndefinedCriticalValueError
 
 __all__ = ["sn_one_step", "sn_select"]
@@ -38,9 +38,7 @@ def _sn_from_tail(tail: float, n: int) -> float:
 def sn_one_step(alpha: float, p: int, n: int) -> float:
     """One-step self-normalized critical value for ``p`` inequalities at size ``alpha``."""
     check_sizes(alpha)
-    if p < 1 or n < 2:
-        raise ValueError("need p >= 1 and n >= 2")
-    return _sn_from_tail(alpha / p, n)
+    return _sn_from_tail(alpha / check_count("p", p), check_count("n", n, least=2))
 
 
 def threshold_select(summary: MomentSummary, threshold: float) -> frozenset[int]:

@@ -812,6 +812,15 @@ class TestRunTests:
         assert d.method.seed == -1
         assert dataclasses.replace(d, method=seeded.method) == seeded
 
+    @pytest.mark.parametrize("method, scheme", [("mb1", "MB"), ("hyb-eb", "EB")])
+    def test_a_bootstrap_spec_without_a_stream_names_its_scheme(self, x, method, scheme):
+        with pytest.raises(ValueError, match=f"{scheme} bootstrap needs a stream"):
+            run_tests(x, [self.spec(method)], None)
+
+    def test_analytic_specs_need_no_stream(self, x):
+        specs = [self.spec("sn1"), self.spec("sn2")]
+        assert run_tests(x, specs, None) == [run_test(x, spec) for spec in specs]
+
     def test_other_methods_and_their_order_change_nothing(self, x):
         rep = SeededStream(5).child("mc", 4)
         alone = self.run(x, ("mb2",), rep)["mb2"]

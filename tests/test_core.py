@@ -1,5 +1,7 @@
 """Summaries, the max statistic, the zero-variance convention, and diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,22 +10,28 @@ from hypothesis.extra.numpy import arrays
 
 from momentineq import (
     CriticalValueSpec,
+    DesignSpec,
     InputError,
     McConfig,
     SeededStream,
     ThreeStepConfig,
     as_sample_matrix,
     bmb_test,
+    default_block_lengths,
     eb_draws,
     exceeds,
     make_blocks,
     mb_draws,
+    power_sweep,
     regularity_diagnostics,
     run_test,
+    sn_one_step,
+    standard_normal_draws,
     studentized_scores,
     summarize,
 )
 from momentineq import test_statistic as max_statistic
+from momentineq import core
 from momentineq.errors import DegenerateColumnError, UndefinedCriticalValueError
 
 
@@ -382,24 +390,104 @@ _X = np.random.default_rng(5).normal(size=(40, 3))
 
 class TestIntegerSettings:
     # a float count or seed is refused, never truncated to a nearby integer
-    @pytest.mark.parametrize("make, error", [
-        (lambda: CriticalValueSpec("mb1", replications=1000.5), ValueError),
-        (lambda: CriticalValueSpec("mb1", replications=1000.0), ValueError),
-        (lambda: CriticalValueSpec("mb1", seed=1.5), ValueError),
-        (lambda: ThreeStepConfig(alpha=0.05, replications=500.5), ValueError),
-        (lambda: McConfig(sims=5, bootstrap_reps=100.5), ValueError),
-        (lambda: McConfig(sims=5, seed=2.5), ValueError),
-        (lambda: bmb_test(_X, make_blocks(40, 3, 1), 0.05, 1000.7, SeededStream(1)), ValueError),
-        (lambda: mb_draws(_X, summarize(_X), None, 150.9, SeededStream(1)), TypeError),
-        (lambda: eb_draws(_X, summarize(_X), None, 150.9, SeededStream(1)), TypeError),
-        (lambda: SeededStream(1.5), TypeError),
+    @pytest.mark.parametrize("make", [
+        lambda: CriticalValueSpec("mb1", replications=1000.5),
+        lambda: CriticalValueSpec("mb1", replications=1000.0),
+        lambda: CriticalValueSpec("mb1", seed=1.5),
+        lambda: ThreeStepConfig(alpha=0.05, replications=500.5),
+        lambda: McConfig(sims=5, bootstrap_reps=100.5),
+        lambda: McConfig(sims=5, seed=2.5),
+        lambda: bmb_test(_X, make_blocks(40, 3, 1), 0.05, 1000.7, SeededStream(1)),
+        lambda: mb_draws(_X, summarize(_X), None, 150.9, SeededStream(1)),
+        lambda: eb_draws(_X, summarize(_X), None, 150.9, SeededStream(1)),
+        lambda: SeededStream(1.5),
     ], ids=["spec-B", "spec-B-whole", "spec-seed", "threestep-B", "mc-B", "mc-seed",
             "bmb-B", "mb-draws-B", "eb-draws-B", "stream-seed"])
-    def test_non_integer_is_refused(self, make, error):
-        with pytest.raises(error, match="integer"):
+    def test_non_integer_is_refused(self, make):
+        with pytest.raises(ValueError, match="integer"):
             make()
 
     def test_numpy_integers_pass(self):
         spec = CriticalValueSpec("mb1", replications=np.int64(300), seed=np.uint64(3))
         assert run_test(_X, spec) == run_test(_X, CriticalValueSpec("mb1", replications=300, seed=3))
         assert mb_draws(_X, summarize(_X), None, np.int32(150), SeededStream(1)).values.shape == (150,)
+
+
+_S = summarize(_X)
+_MC = McConfig(sims=1, methods=("sn1",))
+
+# (id, call with the count put in, the argument its message names, least, below)
+COUNTS = [
+    ("spec-B", lambda v: CriticalValueSpec("mb1", replications=v), "replications", 100, 2 ** 63),
+    ("spec-seed", lambda v: CriticalValueSpec("mb1", seed=v), "seed", 0, 2 ** 64),
+    ("stream-seed", lambda v: SeededStream(v), "master_seed", 0, 2 ** 64),
+    ("stream-index", lambda v: SeededStream(1).child("a", v), "path index", 0, 2 ** 63),
+    ("normal-count", lambda v: standard_normal_draws(SeededStream(1), v), "count", 1, 2 ** 63),
+    ("design", lambda v: DesignSpec(v, 40, 3, 0.0, "t4"), "design", 1, 9),
+    ("design-n", lambda v: DesignSpec(1, v, 3, 0.0, "t4"), "n", 2, 2 ** 63),
+    ("design-p", lambda v: DesignSpec(1, 40, v, 0.0, "t4"), "p", 1, 2 ** 63),
+    ("mc-sims", lambda v: McConfig(sims=v, methods=("sn1",)), "sims", 1, 2 ** 63),
+    ("mc-threads", lambda v: McConfig(sims=1, methods=("sn1",), threads=v), "threads", 1, 2 ** 63),
+    ("sweep-n", lambda v: power_sweep(v, 3, 0.0, [0.0], _MC), "n", 2, 2 ** 63),
+    ("sweep-p", lambda v: power_sweep(40, v, 0.0, [0.0], _MC), "p", 1, 2 ** 63),
+    ("blocks-n", lambda v: make_blocks(v, 5, 2), "n", 1, 2 ** 63),
+    ("blocks-q", lambda v: make_blocks(300, v, 2), "q", 1, 2 ** 63),
+    ("blocks-r", lambda v: make_blocks(300, 5, v), "r", 1, 2 ** 63),
+    ("default-blocks-n", lambda v: default_block_lengths(v), "n", 1, 2 ** 63),
+    ("sn-p", lambda v: sn_one_step(0.05, v, 400), "p", 1, 2 ** 63),
+    ("sn-n", lambda v: sn_one_step(0.05, 3, v), "n", 2, 2 ** 63),
+    ("mb-B", lambda v: mb_draws(_X, _S, None, v, SeededStream(1)), "B", 1, 2 ** 63),
+    ("eb-B", lambda v: eb_draws(_X, _S, None, v, SeededStream(1)), "B", 1, 2 ** 63),
+    ("mb-column", lambda v: mb_draws(_X, _S, [v], 100, SeededStream(1)), "column", 1, 4),
+]
+
+
+def bad_counts(least, below, none_ok):
+    """Values no count in ``[least, below)`` may take: anything but an integer in range."""
+    return st.one_of(
+        st.booleans(),
+        st.just(np.True_),
+        st.floats().filter(lambda v: not v.is_integer()),
+        st.integers(-(2 ** 70), 2 ** 70).map(float),
+        st.text(max_size=3),
+        st.nothing() if none_ok else st.none(),
+        st.integers(max_value=least - 1),
+        st.integers(min_value=below),
+    )
+
+
+class TestCountContract:
+    # every count, seed, stream path index and column number goes through one check
+    @pytest.mark.parametrize("make, name", [
+        (lambda: make_blocks(300, 5.9, 2), "q"),
+        (lambda: mb_draws(_X, _S, [1.7], 100, SeededStream(1)), "column"),
+        (lambda: standard_normal_draws(SeededStream(1), 2.5), "count"),
+        (lambda: sn_one_step(0.05, 2.5, 400), "p"),
+        (lambda: McConfig(sims=True), "sims"),
+        (lambda: CriticalValueSpec("mb1", seed=True), "seed"),
+        (lambda: power_sweep(40.5, 3, 0.0, [0.0], _MC), "n"),
+        (lambda: McConfig(sims=2.5), "sims"),
+        (lambda: McConfig(sims=1, threads=1.5), "threads"),
+        (lambda: default_block_lengths(-8), "n"),
+        (lambda: sn_one_step(0.05, 10 ** 400, 400), "p"),
+    ], ids=["blocks-q-float", "column-float", "count-float", "sn-p-float", "sims-bool",
+            "seed-bool", "sweep-n-float", "sims-float", "threads-float", "blocks-n-negative",
+            "sn-p-huge"])
+    def test_named_error_where_a_count_was_truncated_or_crashed(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            make()
+
+    @pytest.mark.parametrize("call, name, least, below", [row[1:] for row in COUNTS],
+                             ids=[row[0] for row in COUNTS])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_bad_count_raises_a_named_value_error(self, call, name, least, below, data):
+        value = data.draw(bad_counts(least, below, none_ok=name == "threads"))
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [1, np.int8(1), np.uint64(1)])
+    def test_integers_in_range_pass_as_int(self, value):
+        assert type(core.check_count("p", value)) is int and core.check_count("p", value) == 1
+        top = core.check_count("seed", np.uint64(2 ** 64 - 1), least=0, below=2 ** 64)
+        assert top == 2 ** 64 - 1

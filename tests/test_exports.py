@@ -149,6 +149,22 @@ def test_column_exponents_are_taken_only_in_core():
     assert users == {"core"}
 
 
+def test_counts_are_checked_only_by_check_count():
+    # ``operator.index`` turns an integer count into an ``int``; ``numbers`` is not needed
+    users, imports = [], []
+    for path, tree, owner in package_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "operator.index":
+                users.append((path.stem, owner.get(id(node), "<module>")))
+            elif isinstance(node, ast.Import):
+                imports += [(path.stem, a.name) for a in node.names if a.name == "numbers"]
+            elif isinstance(node, ast.ImportFrom) and node.module in ("numbers", "operator"):
+                imports += [(path.stem, f"{node.module}.{a.name}") for a in node.names
+                            if node.module == "numbers" or a.name == "index"]
+    assert set(users) == {("core", "check_count")}
+    assert imports == []
+
+
 def test_matrix_products_are_taken_only_by_the_blocked_rowmax():
     # ``@``, ``@=`` and calls of ``matmul`` or ``dot`` (``np.matmul``, ``a.dot``)
     users = []

@@ -278,6 +278,12 @@ class TestPowerSweep:
         with pytest.raises(ValueError):
             power_sweep(50, 3, 0.0, [-0.1, 0.2], mc)
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_shift_before_any_replication(self, r, monkeypatch):
+        monkeypatch.setattr(simulate, "_rejections", lambda *a: pytest.fail("replications ran"))
+        with pytest.raises(ValueError, match="signal strengths must be finite"):
+            power_sweep(40, 3, 0.0, [0.0, r], McConfig(sims=2, methods=("sn1",), seed=1))
+
     @pytest.mark.parametrize("rho", [-0.5, 1.0, 1.5, float("nan")])
     def test_rejects_rho_outside_the_unit_interval_before_any_replication(self, rho, monkeypatch):
         monkeypatch.setattr(simulate, "_rejections", lambda *a: pytest.fail("replications ran"))
