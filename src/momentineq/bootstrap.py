@@ -31,11 +31,24 @@ over that set, and restricting to a subset of columns, duplicating a
 column, or permuting columns never changes the randomness a replication
 sees.
 
+Threads: every pass runs its products on one OpenBLAS thread (see
+:class:`_OneBlasThread`) and splits its costly parts into shares, one per
+core: the calling thread takes the first and a pool of the package's own
+threads the rest.  An MB or BMB multiplier block fills in runs of whole rows,
+each drawing from a generator placed at its first scalar; an EB count block,
+whose draws consume a value-dependent number of Philox outputs, fills on the
+calling thread.  The 64-wide column blocks are multiplied in contiguous runs,
+one per share.  A share draws and multiplies what the whole pass would, so
+no bit depends on the share count or the BLAS thread count.  Passes on the
+threads of ``run_mc``'s own pool, which already fills the cores, do not
+split.
+
 Memory: every bootstrap pass builds its ``k x n`` weight block (multipliers
-or resampling counts) and the ``k x 64`` product of each column block in
-workspaces that belong to the calling thread and are reused by its next
-pass, so a warm pass maps no fresh pages.  The weight block is bounded by
-``_CHUNK_SCALARS`` scalars (one row when a row alone is larger), and the
+or resampling counts) in a workspace of the calling thread, and each share
+takes the ``k x 64`` product of each of its column blocks in a workspace of
+its own thread.  Both are reused by that thread's next pass, so a warm pass
+maps no fresh pages.  The weight block is bounded by
+``_CHUNK_SCALARS`` scalars (one row when a row alone is larger), and each
 product by ``64 / n`` times that.  A thread keeps workspaces of at most
 ``_CHUNK_SCALARS`` scalars until it ends (a larger block lives for its pass
 only); they never leave this module, and every array returned to a caller is
@@ -49,9 +62,14 @@ alone, so no bit moves, and no memory is added.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
@@ -70,7 +88,7 @@ from .core import (
     summarize,
 )
 from .errors import DegenerateColumnError
-from .gaussian import SeededStream, open_uniform
+from .gaussian import SeededStream, _ahead, open_uniform
 from .sn import _sn_from_tail, sn_select, threshold_select
 
 __all__ = [
@@ -112,6 +130,137 @@ _workspace = threading.local()
 # _workspace, which holds arrays only.
 _held = threading.local()
 
+# A pass splits its multiplier fill and its column blocks into this many
+# shares: the calling thread takes the first, and a pool of one thread fewer
+# the rest.  Each share draws and multiplies what the whole pass would, on
+# one BLAS thread, so the count moves no bit.
+_PASS_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+
+# The pass pool, built on the first split and forgotten in a forked child,
+# whose copy of it has no threads.
+_pool = None
+_pool_lock = threading.Lock()
+
+# Threads of run_mc's own pool, which already fills the cores: their passes
+# run on the thread alone (see _keep_passes_whole).
+_whole = threading.local()
+
+
+@functools.cache
+def _openblas():
+    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or ``None``.
+
+    Wheels ship the library as ``numpy.libs/libscipy_openblas64_*`` (Linux,
+    Windows) or ``numpy/.dylibs/`` (macOS); opening the loaded file again
+    returns the handle numpy uses.  Other BLAS builds give ``None``.
+    """
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                        *root.glob(".dylibs/libscipy_openblas64_*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Pins OpenBLAS to one thread while any bootstrap pass runs.
+
+    The BLAS thread count is process-wide, so nested or concurrent passes
+    share one pin: the first to enter saves the count, the last to leave
+    restores it.  Without a bundled OpenBLAS it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = None  # (set, saved count) while pinned
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                api = _openblas()
+                if api is not None:
+                    get, put = api
+                    self._restore = (put, get())
+                    put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore is not None:
+                put, count = self._restore
+                self._restore = None
+                put(count)
+
+    def _after_fork(self):
+        """In a forked child no pass runs: drop the pin, restoring the count it saved."""
+        self._lock = threading.Lock()
+        self._depth = 0
+        if self._restore is not None:
+            put, count = self._restore
+            self._restore = None
+            put(count)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+def _reset_in_child():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+    _one_blas_thread._after_fork()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_in_child)
+
+
+def _keep_passes_whole():
+    """Run this thread's passes on it alone: the initializer of ``run_mc``'s pool."""
+    _whole.on = True
+
+
+def _shares() -> int:
+    """How many shares this thread's passes split into."""
+    return 1 if getattr(_whole, "on", False) else _PASS_WORKERS
+
+
+def _pass_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_PASS_WORKERS - 1,
+                                       thread_name_prefix="momentineq-pass")
+        return _pool
+
+
+def _on_shares(tasks) -> list:
+    """The results of ``tasks``, in order: the first runs here, the others on the pass pool.
+
+    Returns or raises only once every task has finished, so no worker
+    writes into a block or workspace after its pass ends.
+    """
+    if len(tasks) == 1:
+        return [tasks[0]()]
+    futures = []
+    try:
+        pool = _pass_pool()
+        for task in tasks[1:]:
+            futures.append(pool.submit(task))
+        first = tasks[0]()
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
 
 @dataclass(frozen=True)
 class BootstrapDraws:
@@ -146,8 +295,8 @@ def _buffer(name: str, shape) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _blocked_rowmax(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Row max of ``weights @ g`` in fixed-width column blocks."""
+def _block_run_rowmax(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row max of ``weights @ g`` in fixed-width column blocks, on this thread."""
     n, c = g.shape
     prod = _buffer("prod", (weights.shape[0], _COL_BLOCK))
     out = None
@@ -164,6 +313,24 @@ def _blocked_rowmax(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blocked_rowmax(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row max of ``weights @ g`` in fixed-width column blocks, spread over the pass's shares.
+
+    Each share takes a contiguous run of blocks, and every block's product
+    has the shape and operands it has alone, so the max over the runs' row
+    maxima is exact and the split moves no bit.
+    """
+    blocks = -(-g.shape[1] // _COL_BLOCK)
+    count = min(_shares(), blocks)
+    edges = [_COL_BLOCK * (blocks * i // count) for i in range(count + 1)]
+    runs = _on_shares([functools.partial(_block_run_rowmax, weights, g[:, a:b])
+                       for a, b in zip(edges, edges[1:])])
+    out = runs[0]
+    for m in runs[1:]:
+        np.maximum(out, m, out=out)
+    return out
+
+
 def _row_pieces(out: np.ndarray):
     """``out`` in runs of whole rows of about ``_PIECE_SCALARS`` scalars (one row at least)."""
     step = max(1, _PIECE_SCALARS // out.shape[1])
@@ -171,9 +338,30 @@ def _row_pieces(out: np.ndarray):
 
 
 def _normal_weights(gen, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (replications x rows) with i.i.d. N(0,1) multipliers, one per row."""
-    for piece in _row_pieces(out):
-        ndtri(open_uniform(gen, piece.shape), out=piece)
+    """Fill ``out`` (replications x rows) with i.i.d. N(0,1) multipliers, one per row.
+
+    The block is filled in up to one run of whole rows per share of the
+    pass, none below ``_PIECE_SCALARS`` scalars.  ``open_uniform`` takes one
+    Philox output per value, so a run draws from a generator placed at its
+    first scalar (:func:`~momentineq.gaussian._ahead`) the bits of one call
+    over ``out``, and ``gen`` is left where that call leaves it.
+    """
+    k = out.shape[0]
+    count = max(1, min(_shares(), k, out.size // _PIECE_SCALARS))
+    edges = [k * i // count for i in range(count + 1)]
+    gens = [gen] + [_ahead(gen, a * out.shape[1]) for a in edges[1:-1]]
+
+    def fill(run, g):
+        for piece in _row_pieces(run):
+            ndtri(open_uniform(g, piece.shape), out=piece)
+
+    _on_shares([functools.partial(fill, out[a:b], g)
+                for a, b, g in zip(edges, edges[1:], gens)])
+    if count > 1:
+        state = gens[-1].bit_generator.state
+        kept = gen.bit_generator.state
+        state.update(has_uint32=kept["has_uint32"], uinteger=kept["uinteger"])
+        gen.bit_generator.state = state
     return out
 
 
@@ -194,11 +382,12 @@ def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream) -> 
     ``weights``, and take the same ``target``.  Its chunk height ``k`` depends
     only on the row count and ``B``, never on the columns, so the column
     invariances hold bit for bit; the BLAS kernel may depend on ``k``, so
-    chunked draws can differ from unchunked ones in the last bits.
+    chunked draws can differ from unchunked ones in the last bits.  The pass
+    keeps OpenBLAS on one thread from its start to its end.
 
     ``weights`` fills each ``k x rows`` block in place.  The block lives in
     this thread's workspace (see :func:`_buffer`) and is reused by the next
-    chunk and the next pass; like the product workspace of
+    chunk and the next pass; like the product workspaces of
     :func:`_blocked_rowmax`, it is never returned.  The builders
     consume the generator in the block's row-major order, piece by piece, so
     pieces draw the same bits as one call over the whole block.
@@ -214,16 +403,17 @@ def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream) -> 
     """
     rows = target.shape[0]
     key = (stream, weights, B, rows) if B * rows <= _CHUNK_SCALARS else None
-    if key is not None and key == getattr(_held, "block", None):
-        return _blocked_rowmax(_buffer("weights", (B, rows)), target)
-    _held.block = None
-    gen = stream.generator()
-    out = np.empty(B)
-    step = max(1, min(B, _CHUNK_SCALARS // max(rows, 1)))
-    for start in range(0, B, step):
-        stop = min(start + step, B)
-        block = weights(gen, _buffer("weights", (stop - start, rows)))
-        out[start:stop] = _blocked_rowmax(block, target)
+    with _one_blas_thread:
+        if key is not None and key == getattr(_held, "block", None):
+            return _blocked_rowmax(_buffer("weights", (B, rows)), target)
+        _held.block = None
+        gen = stream.generator()
+        out = np.empty(B)
+        step = max(1, min(B, _CHUNK_SCALARS // max(rows, 1)))
+        for start in range(0, B, step):
+            stop = min(start + step, B)
+            block = weights(gen, _buffer("weights", (stop - start, rows)))
+            out[start:stop] = _blocked_rowmax(block, target)
     _held.block = key
     return out
 

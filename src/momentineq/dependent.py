@@ -81,9 +81,15 @@ def make_blocks(n: int, q: int, r: int) -> BlockPlan:
 def default_block_lengths(n: int) -> tuple[int, int]:
     """Default ``(q, r)``: ``q = floor(n^(1/3))``, ``r = max(1, floor(n^(1/6)))``."""
     n = check_count("n", n)
-    q = int(n ** (1.0 / 3.0))
-    r = max(1, int(n ** (1.0 / 6.0)))
-    return q, r
+    # the float cube root can land below an exact cube (64 ** (1/3) is
+    # 3.9999999999999996), so it is corrected with integer comparisons; and
+    # floor(sqrt(floor(x))) = floor(sqrt(x)) makes r exact too
+    q = round(n ** (1.0 / 3.0))
+    while q ** 3 > n:
+        q -= 1
+    while (q + 1) ** 3 <= n:
+        q += 1
+    return q, max(1, math.isqrt(q))
 
 
 def bmb_test(sample, plan: BlockPlan, alpha: float, B: int,

@@ -11,26 +11,22 @@ degrees of freedom scaled to unit variance, or uniform on
 
 ``run_mc`` estimates rejection rates over independent replications, one
 substream per replication, so results do not depend on execution order or
-the thread count.  While replications run on a thread pool, numpy's bundled
-OpenBLAS runs on one thread, so the pool's threads are the only busy ones.
+the thread count.  Replications on a thread pool run each bootstrap pass on
+their own thread, which fills the cores with the pool's threads alone.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
-from .bootstrap import run_tests
+from .bootstrap import _keep_passes_whole, run_tests
 from .core import CriticalValueSpec, check_count, check_sizes
 from .gaussian import SeededStream, open_uniform
 
@@ -183,64 +179,6 @@ class McResult:
     elapsed_seconds: float = field(compare=False, default=0.0)
 
 
-@functools.cache
-def _openblas():
-    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or ``None``.
-
-    Wheels ship the library as ``numpy.libs/libscipy_openblas64_*`` (Linux,
-    Windows) or ``numpy/.dylibs/`` (macOS); opening the loaded file again
-    returns the handle numpy uses.  Other BLAS builds give ``None``.
-    """
-    root = Path(np.__file__).parent
-    for path in sorted([*root.parent.glob("numpy.libs/libscipy_openblas64_*"),
-                        *root.glob(".dylibs/libscipy_openblas64_*")]):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-class _OneBlasThread:
-    """Pins OpenBLAS to one thread while any pooled replication loop runs.
-
-    The BLAS thread count is process-wide, so nested or concurrent loops
-    share one pin: the first to enter saves the count, the last to leave
-    restores it.  Without a bundled OpenBLAS it does nothing.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._restore = None  # (set, saved count) while pinned
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                api = _openblas()
-                if api is not None:
-                    get, put = api
-                    self._restore = (put, get())
-                    put(1)
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._restore is not None:
-                put, count = self._restore
-                self._restore = None
-                put(count)
-
-
-_one_blas_thread = _OneBlasThread()
-
-
 def _rejections(mc: McConfig, samples) -> np.ndarray:
     """Reject indicators, shape ``(sims, samples per replication, methods)``.
 
@@ -258,9 +196,9 @@ def _rejections(mc: McConfig, samples) -> np.ndarray:
         return [[d.reject for d in run_tests(x, specs, rep)] for x in samples(rep)]
 
     if mc.threads is not None and mc.threads > 1:
-        # each pool thread calls BLAS; BLAS threads of their own would only
-        # compete with the pool for the same cores
-        with _one_blas_thread, ThreadPoolExecutor(max_workers=mc.threads) as pool:
+        # the pool's threads already fill the cores, so their passes do not split
+        with ThreadPoolExecutor(max_workers=mc.threads,
+                                initializer=_keep_passes_whole) as pool:
             rows = list(pool.map(replication, range(mc.sims)))
     else:
         rows = [replication(k) for k in range(mc.sims)]

@@ -3,6 +3,11 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import queue
+import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -264,6 +269,22 @@ class TestPiecewiseWeights:
         assert self.state(gen) == self.state(ref_gen)
         assert gen.bit_generator.random_raw() == ref_gen.bit_generator.random_raw()
 
+    @pytest.mark.parametrize("taken", [0, 1, 6], ids=["fresh", "odd-half-word", "mid-buffer"])
+    def test_runs_on_three_shares_draw_the_bits_of_one_call(self, monkeypatch, taken):
+        # 9 x 4 multipliers in three runs of three rows; a float32 draw
+        # leaves a spare 32-bit half-word that the runs must keep
+        monkeypatch.setattr(bootstrap, "_PIECE_SCALARS", 10)
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 3)
+        gen, ref_gen = SeededStream(31).generator(), SeededStream(31).generator()
+        for g in (gen, ref_gen):
+            g.random(taken, dtype=np.float32)
+        out = np.full((9, 4), np.nan)
+        assert bootstrap._normal_weights(gen, out) is out
+        assert out.tobytes() == self.mb_reference(ref_gen, 9, 4).tobytes()
+        assert self.state(gen) == self.state(ref_gen)
+        assert gen.random(3, dtype=np.float32).tobytes() == ref_gen.random(
+            3, dtype=np.float32).tobytes()
+
     @pytest.mark.parametrize("r", [400, 2 ** 31 + 1])
     def test_bounded_integers_are_chunk_invariant(self, r):
         # Lemire's method rejects about half the draws at 2^31 + 1; the spare
@@ -452,6 +473,151 @@ class TestHeldBlock:
         assert [ours] == on_fresh_thread(run_tests, x, specs, stream)
         assert run_tests(x, specs, stream) == [ours]
         assert builds == [(1, 50)] * (6 * B)
+
+
+def invariance_outputs():
+    """Every cutoff of ``run_tests``, ``bmb_test`` and ``three_step_test`` on one wide sample.
+
+    At ``n = 400`` and ``B = 1000`` each product is ``(1000 x 400) @ (400 x
+    64)``, whose last bits OpenBLAS changes between one and two threads, and
+    the 330 columns make six column blocks.
+    """
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(400, 330))
+    x[:, 5:] -= 0.75
+    specs = [CriticalValueSpec(m, 0.05, 0.001, 1000) for m in METHODS]
+    decisions = run_tests(x, specs, SeededStream(3))
+    # 44 block rows: the 2000 x 44 multiplier block fills in two runs
+    bmb = bmb_test(x, make_blocks(400, 7, 2), 0.05, 2000, SeededStream(4))
+    data = ParametricMomentData(g=x, v=rng.normal(size=(400, 330, 2)))
+    three = three_step_test(data, ThreeStepConfig(alpha=0.05, beta=0.001, replications=1000,
+                                                  seed=5))
+    return decisions, bmb, three
+
+
+class TestThreadCountInvariance:
+    """No bit depends on OpenBLAS's thread count or on how many shares a pass splits into.
+
+    The reference runs with one BLAS thread and one share.  At 250 rows a
+    chunk, each ``run_tests`` pass spans four chunks, and each chunk's
+    multiplier block still fills in up to three runs.
+    """
+
+    @pytest.fixture(scope="class")
+    def blas(self):
+        api = bootstrap._openblas()
+        if api is None:
+            pytest.skip("numpy does not bundle OpenBLAS here")
+        get, put = api
+        before = get()
+        yield put
+        put(before)
+
+    @pytest.fixture(scope="class", params=[None, 250 * 400], ids=["one-chunk", "four-chunks"])
+    def chunk(self, request):
+        return request.param
+
+    @pytest.fixture(scope="class")
+    def reference(self, blas, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(bootstrap, "_CHUNK_SCALARS", chunk)
+            mp.setattr(bootstrap, "_PASS_WORKERS", 1)
+            blas(1)
+            return invariance_outputs()
+
+    @pytest.mark.parametrize("blas_threads", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_cutoffs_are_bit_equal(self, monkeypatch, blas, chunk, reference, blas_threads,
+                                   workers):
+        if chunk is not None:
+            monkeypatch.setattr(bootstrap, "_CHUNK_SCALARS", chunk)
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", workers)
+        blas(blas_threads)
+        decisions, bmb, three = invariance_outputs()
+        assert any(0 < len(d.selected) < 330 for d in decisions)
+        assert decisions == reference[0]
+        assert bmb == reference[1]
+        assert three == reference[2]
+
+
+def forked_cutoff(x, spec, results):
+    results.put(run_test(x, spec, stream=SeededStream(8)).critical_value)
+
+
+class TestPassPool:
+    """The pool a pass splits over: it waits for every share and survives a fork."""
+
+    @pytest.fixture
+    def two_shares(self, monkeypatch):
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 2)
+
+    def test_a_pass_raises_only_after_every_share_ends(self, two_shares, monkeypatch):
+        ended = []
+
+        def product(weights, g):
+            if threading.current_thread() is threading.main_thread():
+                raise RuntimeError("first share failed")
+            time.sleep(0.2)
+            ended.append(g.shape)
+            return np.zeros(weights.shape[0])
+
+        monkeypatch.setattr(bootstrap, "_block_run_rowmax", product)
+        with pytest.raises(RuntimeError, match="first share failed"):
+            bootstrap._blocked_rowmax(np.ones((10, 5)), np.ones((5, 128)))
+        assert ended == [(5, 64)]
+
+    def test_concurrent_split_passes_match_lone_ones(self, monkeypatch):
+        # six callers on three shares each, switching threads as often as possible
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 3)
+        x = np.random.default_rng(5).normal(size=(200, 200))
+        s = summarize(x)
+        lone = {(draws, seed): on_fresh_thread(draws, x, s, None, 500, SeededStream(seed)).values
+                for draws in (mb_draws, eb_draws) for seed in range(6)}
+        bad = []
+
+        def caller(seed):
+            for _ in range(4):
+                for draws in (mb_draws, eb_draws):
+                    got = draws(x, s, None, 500, SeededStream(seed)).values
+                    if got.tobytes() != lone[draws, seed].tobytes():
+                        bad.append((draws.__name__, seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(seed,)) for seed in range(6)]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(120)
+                assert not c.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert bad == []
+
+    def test_a_forked_child_runs_a_pass(self, two_shares):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method here")
+        x = np.random.default_rng(2).normal(size=(400, 130))
+        spec = CriticalValueSpec("mb1", replications=1000)
+        expected = run_test(x, spec, stream=SeededStream(8)).critical_value
+        assert bootstrap._pool is not None
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=forked_cutoff, args=(x, spec, results))
+        child.start()
+        try:
+            got = results.get(timeout=60)
+            child.join(60)
+            assert not child.is_alive() and child.exitcode == 0
+        except queue.Empty:
+            pytest.fail("the forked child's pass did not return")
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        assert got == expected
 
 
 class TestEmpiricalQuantile:

@@ -48,6 +48,28 @@ class TestMakeBlocks:
         q, r = default_block_lengths(400)
         assert (q, r) == (7, 2)
         assert make_blocks(400, q, r).m == 400 // 9
+        assert default_block_lengths(200) == (5, 2)
+
+    @staticmethod
+    def integer_root(n, k):
+        """``floor(n^(1/k))`` by bisection over integers."""
+        lo, hi = 0, 1 << (n.bit_length() // k + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mid ** k <= n else (lo, mid)
+        return lo
+
+    def test_default_lengths_are_exact_at_perfect_powers(self):
+        # 64 gave (3, 2), 4096 gave (15, 3) and 10**6 gave q = 99 from float roots
+        assert default_block_lengths(64) == (4, 2)
+        assert default_block_lengths(4096) == (16, 4)
+        cubes = [k ** 3 for k in [*range(1, 300), *range(300, 2 ** 21, 997),
+                                  *range(2 ** 21 - 3, 2 ** 21)]]
+        sixths = [k ** 6 for k in range(1, 1291)]  # 1290^6 < 2^62 < 1291^6
+        ns = {m + d for m in cubes + sixths for d in (-1, 0, 1)} - {0, 2 ** 63}
+        for n in sorted(ns):
+            assert default_block_lengths(n) == (
+                self.integer_root(n, 3), max(1, self.integer_root(n, 6))), n
 
 
 def bmb_statistic(x):

@@ -180,7 +180,28 @@ def test_matrix_products_are_taken_only_by_the_blocked_rowmax():
                 product = False
             if product:
                 users.append((path.stem, owner.get(id(node), "<module>")))
-    assert users == [("bootstrap", "_blocked_rowmax")]
+    assert users == [("bootstrap", "_block_run_rowmax")]
+
+
+def calls_of(name):
+    """``(module, innermost function)`` of every call of a function or method ``name``."""
+    return [
+        (path.stem, owner.get(id(node), "<module>"))
+        for path, tree, owner in package_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_thread_pools_are_built_only_by_the_pass_pool_and_the_monte_carlo_loop():
+    assert sorted(calls_of("ThreadPoolExecutor")) == [
+        ("bootstrap", "_pass_pool"), ("simulate", "_rejections")]
+
+
+def test_generators_are_moved_ahead_in_one_place():
+    # a run of a split multiplier fill draws from a generator placed at its first scalar
+    assert calls_of("advance") == [("gaussian", "_ahead")]
 
 
 def test_both_schemes_and_the_diagnostics_build_one_studentized_target():
@@ -226,7 +247,7 @@ def test_blas_threads_are_set_only_by_the_pool_pin():
                 continue
             if isinstance(name, str) and "num_threads" in name.lower():
                 users.add((path.stem, owner.get(id(node), "<module>")))
-    assert users == {("simulate", "_openblas")}
+    assert users == {("bootstrap", "_openblas")}
 
 
 def test_bootstrap_streams_branch_only_in_the_provider():

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtri
 
 from momentineq import SeededStream, standard_normal_draws
-from momentineq.gaussian import open_uniform
+from momentineq.gaussian import _ahead, open_uniform
 
 mp.mp.dps = 40
 
@@ -123,3 +123,16 @@ class TestStandardNormalDraws:
         expected = (2 * k + 1) * 0.5 ** 53
         assert u.dtype == np.float64 and u.shape == expected.shape
         assert u.tobytes() == expected.tobytes()
+
+
+class TestAhead:
+    """A generator placed ``count`` uniforms ahead draws what the original draws after them."""
+
+    @pytest.mark.parametrize("taken", [0, 1, 3, 4, 5, 8, 11])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7, 4 * 10 ** 6 + 1])
+    def test_draws_continue_the_stream(self, taken, count):
+        gen = SeededStream(3, (("MB", 0),)).generator()
+        open_uniform(gen, taken)
+        ahead = _ahead(gen, count)
+        tail = open_uniform(gen, count + 9)[count:]
+        assert open_uniform(ahead, 9).tobytes() == tail.tobytes()

@@ -4,7 +4,6 @@ import math
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -294,7 +293,7 @@ class TestPowerSweep:
 @pytest.fixture
 def blas():
     """numpy's OpenBLAS thread count, set to 2 for the test and restored after it."""
-    api = simulate._openblas()
+    api = bootstrap._openblas()
     if api is None:
         pytest.skip("numpy does not bundle OpenBLAS here")
     get, put = api
@@ -305,20 +304,22 @@ def blas():
 
 
 def blas_counts(monkeypatch, get):
-    """The BLAS thread count seen by every ``run_tests`` call of the harness."""
+    """The BLAS thread count seen by every product of a bootstrap pass, on any thread."""
     seen = []
-    original = simulate.run_tests
+    original = bootstrap._block_run_rowmax
 
     def recorded(*args, **kwargs):
         seen.append(get())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "run_tests", recorded)
+    monkeypatch.setattr(bootstrap, "_block_run_rowmax", recorded)
     return seen
 
 
 class TestBlasPin:
-    design = DesignSpec(1, 40, 3, 0.0, "uniform")
+    """Every bootstrap pass runs its products on one OpenBLAS thread, pooled or serial."""
+
+    design = DesignSpec(1, 40, 130, 0.0, "uniform")  # three column blocks: products split
 
     def test_pooled_run_uses_one_blas_thread_and_restores(self, blas, monkeypatch):
         seen = blas_counts(monkeypatch, blas)
@@ -327,33 +328,38 @@ class TestBlasPin:
         assert blas() == 2
 
     @pytest.mark.parametrize("threads", [None, 1])
-    def test_serial_run_leaves_blas_alone(self, blas, monkeypatch, threads):
+    def test_serial_run_pins_blas_during_products(self, blas, monkeypatch, threads):
         seen = blas_counts(monkeypatch, blas)
-        run_mc(self.design, McConfig(sims=3, methods=("sn1",), threads=threads))
-        assert set(seen) == {2}
+        run_mc(self.design, McConfig(sims=3, methods=("sn1", "mb1"), threads=threads))
+        assert seen and set(seen) == {1}
+        assert blas() == 2
 
     def test_restored_after_a_replication_raises(self, blas, monkeypatch):
         def failing(*args, **kwargs):
-            raise RuntimeError("replication failed")
+            raise RuntimeError("product failed")
 
-        monkeypatch.setattr(simulate, "run_tests", failing)
-        with pytest.raises(RuntimeError, match="replication failed"):
-            run_mc(self.design, McConfig(sims=4, methods=("sn1",), threads=2))
+        monkeypatch.setattr(bootstrap, "_block_run_rowmax", failing)
+        with pytest.raises(RuntimeError, match="product failed"):
+            run_mc(self.design, McConfig(sims=4, methods=("mb1",), threads=2))
+        assert blas() == 2
+        with pytest.raises(RuntimeError, match="product failed"):
+            run_mc(self.design, McConfig(sims=1, methods=("mb1",)))
         assert blas() == 2
 
-    def test_restored_when_the_last_of_two_concurrent_runs_ends(self, blas, monkeypatch):
+    def test_restored_when_the_last_of_two_concurrent_runs_ends(self, blas):
         started = {seed: threading.Event() for seed in (1, 2)}
         release = {seed: threading.Event() for seed in (1, 2)}
 
-        def held(x, specs, stream):
-            started[stream.master_seed].set()
-            release[stream.master_seed].wait(30)
-            return [SimpleNamespace(reject=False) for _ in specs]
+        def held(seed):
+            def weights(gen, out):
+                started[seed].set()
+                release[seed].wait(30)
+                return bootstrap._normal_weights(gen, out)
+            return weights
 
-        monkeypatch.setattr(simulate, "run_tests", held)
         runs = {
-            seed: threading.Thread(target=run_mc, args=(
-                self.design, McConfig(sims=1, methods=("sn1",), seed=seed, threads=2)))
+            seed: threading.Thread(target=bootstrap._rowmax_draws, args=(
+                held(seed), np.ones((4, 2)), 100, SeededStream(seed)))
             for seed in (1, 2)
         }
         try:
@@ -380,7 +386,7 @@ class TestBlasPin:
         def enter_and_leave():
             start.wait(30)
             for _ in range(1000):
-                with simulate._one_blas_thread:
+                with bootstrap._one_blas_thread:
                     time.sleep(0)  # let the other threads enter and leave
                     inside.append(blas())
 
@@ -399,13 +405,13 @@ class TestBlasPin:
         assert blas() == 2
 
     def test_does_nothing_without_a_bundled_openblas(self, blas, monkeypatch):
-        monkeypatch.setattr(simulate, "_openblas", lambda: None)
+        monkeypatch.setattr(bootstrap, "_openblas", lambda: None)
         seen = blas_counts(monkeypatch, blas)
         run_mc(self.design, McConfig(sims=4, methods=("sn1", "mb1"), threads=2))
         assert seen and set(seen) == {2}
 
     def test_power_sweep_runs_pinned(self, blas, monkeypatch):
         seen = blas_counts(monkeypatch, blas)
-        power_sweep(40, 3, 0.0, [0.0, 0.5], McConfig(sims=3, methods=("sn1",), threads=2))
+        power_sweep(40, 3, 0.0, [0.0, 0.5], McConfig(sims=3, methods=("sn1", "mb1"), threads=2))
         assert seen and set(seen) == {1}
         assert blas() == 2
