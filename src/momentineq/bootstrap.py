@@ -196,19 +196,20 @@ class _OneBlasThread:
     def __exit__(self, *exc):
         with self._lock:
             self._depth -= 1
-            if self._depth == 0 and self._restore is not None:
-                put, count = self._restore
-                self._restore = None
-                put(count)
+            if self._depth == 0:
+                self._unpin()
+
+    def _unpin(self):
+        if self._restore is not None:
+            put, count = self._restore
+            self._restore = None
+            put(count)
 
     def _after_fork(self):
         """In a forked child no pass runs: drop the pin, restoring the count it saved."""
         self._lock = threading.Lock()
         self._depth = 0
-        if self._restore is not None:
-            put, count = self._restore
-            self._restore = None
-            put(count)
+        self._unpin()
 
 
 _one_blas_thread = _OneBlasThread()

@@ -542,7 +542,8 @@ class TestThreadCountInvariance:
 
 
 def forked_cutoff(x, spec, results):
-    results.put(run_test(x, spec, stream=SeededStream(8)).critical_value)
+    get = bootstrap._openblas()[0] if bootstrap._openblas() else lambda: None
+    results.put((get(), run_test(x, spec, stream=SeededStream(8)).critical_value))
 
 
 class TestPassPool:
@@ -596,28 +597,48 @@ class TestPassPool:
             sys.setswitchinterval(interval)
         assert bad == []
 
-    def test_a_forked_child_runs_a_pass(self, two_shares):
+    @pytest.mark.parametrize("pinned", [False, True], ids=["idle", "while-a-pass-runs"])
+    def test_a_forked_child_runs_a_pass(self, two_shares, pinned):
+        # forked while another thread's pass holds the pin, the child gets
+        # the caller's BLAS count back
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method here")
         x = np.random.default_rng(2).normal(size=(400, 130))
         spec = CriticalValueSpec("mb1", replications=1000)
         expected = run_test(x, spec, stream=SeededStream(8)).critical_value
         assert bootstrap._pool is not None
+        api = bootstrap._openblas()
+        before = api[0]() if api else None
+        started, release = threading.Event(), threading.Event()
+
+        def held(gen, out):
+            started.set()
+            release.wait(30)
+            return bootstrap._normal_weights(gen, out)
+
+        holder = threading.Thread(target=bootstrap._rowmax_draws, args=(
+            held, np.ones((4, 2)), 100, SeededStream(1)))
         ctx = multiprocessing.get_context("fork")
         results = ctx.Queue()
         child = ctx.Process(target=forked_cutoff, args=(x, spec, results))
-        child.start()
         try:
+            if pinned:
+                holder.start()
+                assert started.wait(30)
+            child.start()
             got = results.get(timeout=60)
             child.join(60)
             assert not child.is_alive() and child.exitcode == 0
         except queue.Empty:
             pytest.fail("the forked child's pass did not return")
         finally:
+            release.set()
+            if pinned:
+                holder.join(30)
             if child.is_alive():
                 child.kill()
                 child.join(10)
-        assert got == expected
+        assert got == (before, expected)
 
 
 class TestEmpiricalQuantile:
