@@ -47,17 +47,20 @@ Memory: every bootstrap pass builds its ``k x n`` weight block (multipliers
 or resampling counts) in a workspace of the calling thread, and each share
 takes the ``k x 64`` product of each of its column blocks in a workspace of
 its own thread.  Both are reused by that thread's next pass, so a warm pass
-maps no fresh pages.  The weight block is bounded by
-``_CHUNK_SCALARS`` scalars (one row when a row alone is larger), and each
-product by ``64 / n`` times that.  A thread keeps workspaces of at most
+maps no fresh pages.  The weight block is bounded by ``_CHUNK_SCALARS``
+scalars (one row when a row alone is larger).  A pass splits its column
+blocks into no more shares than keep its products within ``_CHUNK_SCALARS``
+scalars together; one share always runs, and its product is ``64 / n``
+times the weight block.  A thread keeps workspaces of at most
 ``_CHUNK_SCALARS`` scalars until it ends (a larger block lives for its pass
-only); they never leave this module, and every array returned to a caller is
-its own.  A weight block that is one chunk is kept past its pass: until the
-thread's next pass with another ``(stream, builder, B, rows)`` overwrites
-it, a pass with the same four (the cutoff over a two-step selection, a
-shifted sample of the same replication) takes its products from the kept
-block (see :func:`_rowmax_draws`).  A block is a function of those four
-alone, so no bit moves, and no memory is added.
+only), and a pass-pool thread, which only takes one of two or more shares,
+a product of at most half that.  They never leave this module, and every
+array returned to a caller is its own.  A weight block that is one chunk is
+kept past its pass: until the thread's next pass with another ``(stream,
+builder, B, rows)`` overwrites it, a pass with the same four (the cutoff
+over a two-step selection, a shifted sample of the same replication) takes
+its products from the kept block (see :func:`_rowmax_draws`).  A block is a
+function of those four alone, so no bit moves, and no memory is added.
 """
 
 from __future__ import annotations
@@ -130,10 +133,10 @@ _workspace = threading.local()
 # _workspace, which holds arrays only.
 _held = threading.local()
 
-# A pass splits its multiplier fill and its column blocks into this many
-# shares: the calling thread takes the first, and a pool of one thread fewer
-# the rest.  Each share draws and multiplies what the whole pass would, on
-# one BLAS thread, so the count moves no bit.
+# A pass splits its multiplier fill and its column blocks into up to this
+# many shares: the calling thread takes the first, and a pool of one thread
+# fewer the rest.  Each share draws and multiplies what the whole pass would,
+# on one BLAS thread, so the count moves no bit.
 _PASS_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
 
@@ -319,10 +322,13 @@ def _blocked_rowmax(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     Each share takes a contiguous run of blocks, and every block's product
     has the shape and operands it has alone, so the max over the runs' row
-    maxima is exact and the split moves no bit.
+    maxima is exact and the split moves no bit.  The shares' product
+    workspaces stay within ``_CHUNK_SCALARS`` scalars together, unless one
+    alone is larger.
     """
     blocks = -(-g.shape[1] // _COL_BLOCK)
-    count = min(_shares(), blocks)
+    fit = _CHUNK_SCALARS // (weights.shape[0] * _COL_BLOCK)
+    count = max(1, min(_shares(), blocks, fit))
     edges = [_COL_BLOCK * (blocks * i // count) for i in range(count + 1)]
     runs = _on_shares([functools.partial(_block_run_rowmax, weights, g[:, a:b])
                        for a, b in zip(edges, edges[1:])])

@@ -568,6 +568,24 @@ class TestPassPool:
             bootstrap._blocked_rowmax(np.ones((10, 5)), np.ones((5, 128)))
         assert ended == [(5, 64)]
 
+    @pytest.mark.parametrize("chunk, runs", [(None, [64, 64, 128]), (2 * 10 * 64, [128, 128]),
+                                             (10 * 64 - 1, [256])],
+                             ids=["three-fit", "two-fit", "none-fits"])
+    def test_shares_keep_their_products_within_a_chunk(self, monkeypatch, chunk, runs):
+        # four column blocks, ten rows: each share's product is 10 x 64
+        widths = []
+
+        def product(weights, g):
+            widths.append(g.shape[1])
+            return np.zeros(weights.shape[0])
+
+        monkeypatch.setattr(bootstrap, "_block_run_rowmax", product)
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 3)
+        if chunk is not None:
+            monkeypatch.setattr(bootstrap, "_CHUNK_SCALARS", chunk)
+        bootstrap._blocked_rowmax(np.ones((10, 5)), np.ones((5, 4 * 64)))
+        assert sorted(widths) == runs
+
     def test_concurrent_split_passes_match_lone_ones(self, monkeypatch):
         # six callers on three shares each, switching threads as often as possible
         monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 3)
