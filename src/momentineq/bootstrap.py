@@ -39,9 +39,11 @@ each drawing from a generator placed at its first scalar; an EB count block,
 whose draws consume a value-dependent number of Philox outputs, fills on the
 calling thread.  The 64-wide column blocks are multiplied in contiguous runs,
 one per share.  A share draws and multiplies what the whole pass would, so
-no bit depends on the share count or the BLAS thread count.  Passes on the
-threads of ``run_mc``'s own pool, which already fills the cores, do not
-split.
+no bit depends on the share count or the BLAS thread count.  ``run_mc`` and
+``power_sweep`` run their replications on a pool of their own, by default
+one thread per core; passes on its threads, which already fill the cores, do
+not split.  A pass on any other thread splits: a lone test's, or one of a
+serial Monte Carlo run (``threads=1``).
 
 Memory: every bootstrap pass builds its ``k x n`` weight block (multipliers
 or resampling counts) in a workspace of the calling thread, and each share
@@ -133,10 +135,11 @@ _workspace = threading.local()
 # _workspace, which holds arrays only.
 _held = threading.local()
 
-# A pass splits its multiplier fill and its column blocks into up to this
-# many shares: the calling thread takes the first, and a pool of one thread
-# fewer the rest.  Each share draws and multiplies what the whole pass would,
-# on one BLAS thread, so the count moves no bit.
+# The usable cores.  A pass splits its multiplier fill and its column blocks
+# into up to this many shares: the calling thread takes the first, and a pool
+# of one thread fewer the rest.  Each share draws and multiplies what the
+# whole pass would, on one BLAS thread, so the count moves no bit.  run_mc
+# runs its replications on this many threads by default.
 _PASS_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
 

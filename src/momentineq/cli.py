@@ -41,7 +41,7 @@ from .errors import (
 )
 from .gaussian import SeededStream
 from .inference import GridPoint, invert_region
-from .simulate import DesignSpec, McConfig, run_mc
+from .simulate import DesignSpec, McConfig, _workers, run_mc
 from .threestep import ParametricMomentData, ThreeStepConfig, three_step_test
 
 USAGE_ERROR = 64
@@ -207,7 +207,9 @@ def build_parser() -> _Parser:
     p.add_argument("--dist", default="t4")
     p.add_argument("--sims", type=int, default=1000)
     p.add_argument("--methods", default="sn1,sn2,mb1,mb2,eb1,eb2")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="threads running the replications (default: every "
+                        "usable core; 1 runs them serially)")
     p.add_argument("--out", required=True)
     _add_seeded(p)
 
@@ -276,7 +278,7 @@ def cmd_mc(args) -> int:
         "sims": mc.sims, "bootstrap_reps": mc.bootstrap_reps,
         "alpha": _jsonable(mc.alpha), "beta": _jsonable(mc.beta),
         "methods": list(mc.methods), "seed": mc.seed,
-        "threads": mc.threads,
+        "threads": _workers(mc),
         "elapsed_seconds": _jsonable(result.elapsed_seconds),
     }
     with open(_sidecar_path(args.out), "w") as fh:

@@ -44,17 +44,33 @@ __all__ = [
 class BlockPlan:
     """Partition of ``{0, ..., n-1}`` into alternating large and small blocks.
 
-    ``large_blocks`` holds ``m`` half-open row ranges of length ``q``;
-    ``small_blocks`` holds ``m`` ranges of length ``r`` plus one trailing
-    remainder range (possibly empty).  Ranges are 0-based ``(start, stop)``.
+    Large block ``l`` (``0 <= l < m``) starts at row ``l (q + r)`` and is
+    followed by small block ``l``; one trailing remainder block (possibly
+    empty) ends the range.  The plan stores these four numbers alone, so its
+    size does not grow with ``n``; ``large_blocks`` and ``small_blocks``
+    list the 0-based half-open ``(start, stop)`` ranges when they are read.
     """
 
     n: int
     q: int
     r: int
     m: int
-    large_blocks: tuple[tuple[int, int], ...]
-    small_blocks: tuple[tuple[int, int], ...]
+
+    @property
+    def _starts(self) -> range:
+        """The first row of each large block."""
+        return range(0, self.m * (self.q + self.r), self.q + self.r)
+
+    @property
+    def large_blocks(self) -> tuple[tuple[int, int], ...]:
+        """The ``m`` ranges of length ``q``."""
+        return tuple((a, a + self.q) for a in self._starts)
+
+    @property
+    def small_blocks(self) -> tuple[tuple[int, int], ...]:
+        """The ``m`` ranges of length ``r``, then the remainder up to ``n``."""
+        inner = tuple((a + self.q, a + self.q + self.r) for a in self._starts)
+        return inner + ((self.m * (self.q + self.r), self.n),)
 
 
 def make_blocks(n: int, q: int, r: int) -> BlockPlan:
@@ -71,11 +87,7 @@ def make_blocks(n: int, q: int, r: int) -> BlockPlan:
         raise ValueError(
             f"need q + r <= n/2, got q+r={q + r} with n={n}"
         )
-    m = n // (q + r)
-    large = tuple((l * (q + r), l * (q + r) + q) for l in range(m))
-    small = tuple((l * (q + r) + q, (l + 1) * (q + r)) for l in range(m))
-    small = small + ((m * (q + r), n),)
-    return BlockPlan(n=n, q=q, r=r, m=m, large_blocks=large, small_blocks=small)
+    return BlockPlan(n=n, q=q, r=r, m=n // (q + r))
 
 
 def default_block_lengths(n: int) -> tuple[int, int]:
@@ -115,7 +127,7 @@ def bmb_test(sample, plan: BlockPlan, alpha: float, B: int,
     k = int(s.e.max())
     xc = np.ldexp(x, -k)
     xc -= np.ldexp(s.ms, s.e - k)
-    block_sums = np.stack([xc[a:b].sum(axis=0) for a, b in plan.large_blocks])
+    block_sums = np.stack([xc[a:a + plan.q].sum(axis=0) for a in plan._starts])
     scale = 1.0 / math.sqrt(plan.m * plan.q)
     draws = _rowmax_draws(_normal_weights, block_sums, B, stream) * scale
     # A cutoff past the float range scales back to inf, which exceeds names

@@ -11,8 +11,12 @@ degrees of freedom scaled to unit variance, or uniform on
 
 ``run_mc`` estimates rejection rates over independent replications, one
 substream per replication, so results do not depend on execution order or
-the thread count.  Replications on a thread pool run each bootstrap pass on
-their own thread, which fills the cores with the pool's threads alone.
+the thread count.  By default (``McConfig.threads`` is ``None``) the
+replications run on a pool of one thread per usable core; each runs its
+bootstrap passes on its own thread, so the pool's threads alone fill the
+cores.  ``threads=1`` runs them one after another on the calling thread,
+each pass spread over the cores: the opt-out for a caller that already runs
+``run_mc`` inside a pool of its own.  No rate depends on the setting.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
+from . import bootstrap
 from .bootstrap import _keep_passes_whole, run_tests
 from .core import CriticalValueSpec, check_count, check_sizes
 from .gaussian import SeededStream, open_uniform
@@ -87,35 +92,52 @@ class DesignSpec:
 
 
 def _innovations(gen, n: int, p: int, dist: str) -> np.ndarray:
-    """Unit-variance i.i.d. innovations by inversion from open-interval uniforms."""
-    if dist == "normal":
-        return ndtri(open_uniform(gen, (n, p)))
-    if dist == "t4":
-        z = ndtri(open_uniform(gen, (n, p)))
-        # chi^2 with 4 df as the sum of two exponentials; t(4)/sqrt(2) then
-        # has variance one.
-        v = -2.0 * (
-            np.log(open_uniform(gen, (n, p))) + np.log(open_uniform(gen, (n, p)))
-        )
-        return math.sqrt(2.0) * z / np.sqrt(v)
+    """Unit-variance i.i.d. innovations by inversion from open-interval uniforms.
+
+    Each step runs in place on the arrays ``open_uniform`` returns, in the
+    order of the plain expressions, so the bits are theirs.
+    """
+    if dist not in ("normal", "t4", "uniform"):
+        raise ValueError(f"unknown innovation law {dist!r}")
+    z = open_uniform(gen, (n, p))
     if dist == "uniform":
-        return math.sqrt(3.0) * (2.0 * open_uniform(gen, (n, p)) - 1.0)
-    raise ValueError(f"unknown innovation law {dist!r}")
+        z *= 2.0
+        z -= 1.0
+        z *= math.sqrt(3.0)
+        return z
+    ndtri(z, out=z)
+    if dist == "normal":
+        return z
+    # chi^2 with 4 df as the sum of two exponentials; t(4)/sqrt(2) then has
+    # variance one: sqrt(2) z / sqrt(-2 (log u + log w)).
+    v = open_uniform(gen, (n, p))
+    np.log(v, out=v)
+    w = open_uniform(gen, (n, p))
+    v += np.log(w, out=w)
+    v *= -2.0
+    np.sqrt(v, out=v)
+    z *= math.sqrt(2.0)
+    z /= v
+    return z
 
 
 def _apply_equi(eps: np.ndarray, rho: float) -> np.ndarray:
+    """``a eps + b (row sums of eps)``, written over ``eps``."""
     p = eps.shape[1]
     a = math.sqrt(1.0 - rho)
     b = (math.sqrt(1.0 - rho + p * rho) - a) / p
-    return a * eps + b * eps.sum(axis=1, keepdims=True)
+    sums = eps.sum(axis=1, keepdims=True)
+    eps *= a
+    eps += b * sums
+    return eps
 
 
 def _apply_ar(eps: np.ndarray, rho: float) -> np.ndarray:
+    """The AR(1) filter along each row, after scaling ``eps`` in place."""
     if rho == 0.0:
         return eps
-    scaled = eps.copy()
-    scaled[:, 1:] *= math.sqrt(1.0 - rho * rho)
-    return lfilter([1.0], [1.0, -rho], scaled, axis=1)
+    eps[:, 1:] *= math.sqrt(1.0 - rho * rho)
+    return lfilter([1.0], [1.0, -rho], eps, axis=1)
 
 
 def draw_sample(spec: DesignSpec, stream: SeededStream) -> np.ndarray:
@@ -126,12 +148,19 @@ def draw_sample(spec: DesignSpec, stream: SeededStream) -> np.ndarray:
         y = _apply_equi(eps, spec.rho)
     else:
         y = _apply_ar(eps, spec.rho)
-    return spec.mean_vector() + y
+    y += spec.mean_vector()
+    return y
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Replication counts, sizes, methods, and seeding for one experiment."""
+    """Replication counts, sizes, methods, and seeding for one experiment.
+
+    ``threads`` is how many threads run the replications: ``None`` (the
+    default) means one per usable core, but no more than ``sims``, and
+    ``1`` runs them serially on the calling thread, for a caller that
+    already runs ``run_mc`` inside a pool of its own.  No rate depends on it.
+    """
 
     sims: int
     bootstrap_reps: int = 1000
@@ -179,6 +208,18 @@ class McResult:
     elapsed_seconds: float = field(compare=False, default=0.0)
 
 
+def _workers(mc: McConfig) -> int:
+    """How many threads run ``mc``'s replications: ``mc.threads``, or by default
+    one per usable core, but no more than there are replications.
+
+    A lone replication on a pool thread would not split its passes, so a
+    default that resolves to 1 runs serially, each pass spread over the cores.
+    """
+    if mc.threads is not None:
+        return mc.threads
+    return min(bootstrap._PASS_WORKERS, mc.sims)
+
+
 def _rejections(mc: McConfig, samples) -> np.ndarray:
     """Reject indicators, shape ``(sims, samples per replication, methods)``.
 
@@ -195,9 +236,10 @@ def _rejections(mc: McConfig, samples) -> np.ndarray:
         rep = root.child("mc", k)
         return [[d.reject for d in run_tests(x, specs, rep)] for x in samples(rep)]
 
-    if mc.threads is not None and mc.threads > 1:
+    workers = _workers(mc)
+    if workers > 1:
         # the pool's threads already fill the cores, so their passes do not split
-        with ThreadPoolExecutor(max_workers=mc.threads,
+        with ThreadPoolExecutor(max_workers=workers,
                                 initializer=_keep_passes_whole) as pool:
             rows = list(pool.map(replication, range(mc.sims)))
     else:
@@ -214,8 +256,9 @@ def run_mc(design: DesignSpec, mc: McConfig) -> McResult:
     ``(seed, "mc", k)``: every bootstrap draw lives on
     ``(seed, "mc", k, scheme)``.  A method's rate therefore does not depend
     on which other methods run.  Sharing the sample across methods reduces
-    the variance of method comparisons.  Results are identical under any
-    ``threads`` setting.
+    the variance of method comparisons.  The replications run on every
+    usable core unless ``mc.threads`` says otherwise (``1`` runs them
+    serially); results are identical under any ``threads`` setting.
     """
     t0 = time.perf_counter()
     rejects = _rejections(mc, lambda rep: [draw_sample(design, rep)])[:, 0]
@@ -250,8 +293,9 @@ def power_sweep(n: int, p: int, rho: float, r_values, mc: McConfig) -> PowerCurv
     ``rho``.  Replication ``k`` reuses the same innovation draw for every
     ``r``, so per-replication rejection is monotone in ``r`` by construction
     for the one-step methods and the estimated curves compare cleanly.
-    Replications run through the same loop as :func:`run_mc`, so
-    ``mc.threads`` applies and never changes the result.
+    Replications run through the same loop as :func:`run_mc`: on every
+    usable core by default, serially under ``mc.threads = 1``, and with the
+    same rates under any setting.
     """
     check_count("n", n, least=2)
     check_count("p", p)

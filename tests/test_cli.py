@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentineq
-from momentineq import cli, sn_one_step
+from momentineq import bootstrap, cli, sn_one_step
 from momentineq.cli import main, read_matrix
 from momentineq.core import as_sample_matrix
 from momentineq.errors import InputError
@@ -295,16 +295,21 @@ class TestCmdMc:
         assert sidecar["design"] == 1
 
     def test_threads_do_not_change_output(self, tmp_path, capsys):
-        outs = []
-        for threads, name in ((1, "a.csv"), (3, "b.csv")):
-            out = tmp_path / name
+        outs, used = [], []
+        for threads, name in ((["--threads", "1"], "a"), (["--threads", "3"], "b"),
+                              ([], "c")):
+            out = tmp_path / f"{name}.csv"
             rc = main(["mc", "--design", "2", "--n", "50", "--p", "5",
                        "--dist", "t4", "--sims", "16", "--reps", "150",
                        "--methods", "sn2,eb1", "--seed", "11",
-                       "--threads", str(threads), "--out", str(out)])
+                       *threads, "--out", str(out)])
             assert rc == 0
             outs.append(out.read_text())
-        assert outs[0] == outs[1]
+            used.append(json.loads((tmp_path / f"{name}.json").read_text())["threads"])
+        assert outs[0] == outs[1] == outs[2]
+        # the sidecar records the count that ran: every usable core by default
+        assert used[:2] == [1, 3]
+        assert type(used[2]) is int and used[2] == min(bootstrap._PASS_WORKERS, 16)
 
     def test_zero_sims_is_usage_error(self, tmp_path, capsys):
         rc = main(["mc", "--design", "1", "--p", "4", "--sims", "0",

@@ -1,6 +1,7 @@
 """Block partitions and the block multiplier bootstrap."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ class TestMakeBlocks:
             assert len(seen) == len(set(seen))
             assert all(b - a == q for a, b in plan.large_blocks)
             assert all(b - a == r for a, b in plan.small_blocks[:-1])
+
+    def test_plan_memory_does_not_grow_with_n(self):
+        # listing every block as a pair took 360 MB at n = 10^7
+        tracemalloc.start()
+        try:
+            plan = make_blocks(10**9, 5, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.m == 10**9 // 7
+        assert peak < 2**20
 
     def test_constraints(self):
         with pytest.raises(ValueError):

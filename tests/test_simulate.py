@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from momentineq import (
@@ -152,11 +153,56 @@ class TestDrawSample:
         x = draw_sample(spec, SeededStream(14))
         assert np.abs(x.mean(axis=0) - 0.05).max() <= 0.01
 
+    @staticmethod
+    def out_of_place(gen, n, p, dist, structure, rho):
+        """``draw_sample``'s arithmetic as plain expressions, each step a new array."""
+        if dist == "t4":
+            z = ndtri(open_uniform(gen, (n, p)))
+            v = -2.0 * (np.log(open_uniform(gen, (n, p))) + np.log(open_uniform(gen, (n, p))))
+            eps = math.sqrt(2.0) * z / np.sqrt(v)
+        elif dist == "uniform":
+            eps = math.sqrt(3.0) * (2.0 * open_uniform(gen, (n, p)) - 1.0)
+        else:
+            eps = ndtri(open_uniform(gen, (n, p)))
+        if structure == "EQUI":
+            a = math.sqrt(1.0 - rho)
+            b = (math.sqrt(1.0 - rho + p * rho) - a) / p
+            return a * eps + b * eps.sum(axis=1, keepdims=True)
+        if rho == 0.0:
+            return eps
+        scaled = eps.copy()
+        scaled[:, 1:] *= math.sqrt(1.0 - rho * rho)
+        return lfilter([1.0], [1.0, -rho], scaled, axis=1)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    @pytest.mark.parametrize("dist", ["t4", "uniform"])
+    @pytest.mark.parametrize("design", [1, 3, 6, 8])
+    def test_matches_the_out_of_place_expressions_bitwise(self, design, dist, rho):
+        spec = DesignSpec(design, 70, 33, rho, dist)
+        for seed in range(3):
+            stream = SeededStream(seed).child("mc", 2)
+            y = self.out_of_place(stream.generator(), 70, 33, dist, spec.structure, rho)
+            expected = spec.mean_vector() + y
+            x = draw_sample(spec, stream)
+            assert x.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    def test_power_sweep_innovations_match_the_out_of_place_expressions_bitwise(self, rho):
+        # power_sweep's base sample: normal innovations, equicorrelated when rho > 0
+        for seed in range(3):
+            stream = SeededStream(seed).child("mc", 1)
+            eps = _innovations(stream.generator(), 50, 21, "normal")
+            base = _apply_equi(eps, rho) if rho > 0 else eps
+            expected = self.out_of_place(stream.generator(), 50, 21, "normal", "EQUI", rho)
+            assert base.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
 
 class TestRunMc:
     def test_thread_count_does_not_change_rates(self):
         design = DesignSpec(1, 60, 5, 0.0, "uniform")
-        mc1 = McConfig(sims=24, bootstrap_reps=200, methods=("sn1", "mb1"), seed=4)
+        mc1 = McConfig(
+            sims=24, bootstrap_reps=200, methods=("sn1", "mb1"), seed=4, threads=1
+        )
         mc3 = McConfig(
             sims=24, bootstrap_reps=200, methods=("sn1", "mb1"), seed=4, threads=3
         )
@@ -267,7 +313,7 @@ class TestPowerSweep:
 
     def test_thread_count_does_not_change_rates(self):
         kw = dict(sims=16, bootstrap_reps=200, methods=("sn2", "mb1"), seed=8)
-        serial = power_sweep(60, 5, 0.3, [0.0, 0.3], McConfig(**kw))
+        serial = power_sweep(60, 5, 0.3, [0.0, 0.3], McConfig(threads=1, **kw))
         pooled = power_sweep(60, 5, 0.3, [0.0, 0.3], McConfig(threads=2, **kw))
         assert serial.rates == pooled.rates
         assert serial.ses == pooled.ses
@@ -288,6 +334,62 @@ class TestPowerSweep:
         monkeypatch.setattr(simulate, "_rejections", lambda *a: pytest.fail("replications ran"))
         with pytest.raises(ValueError, match="rho"):
             power_sweep(40, 3, rho, [0.0], McConfig(sims=2, methods=("sn1",), seed=1))
+
+
+class TestDefaultThreads:
+    """``threads=None`` runs the replications on one thread per usable core."""
+
+    design = DesignSpec(1, 40, 6, 0.0, "uniform")
+    kw = dict(sims=8, bootstrap_reps=100, methods=("sn1", "mb1"), seed=5)
+
+    @staticmethod
+    def threads_seen(monkeypatch, cores):
+        """Set the usable core count, and record the thread of every replication."""
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", cores)
+        seen = []
+        original = simulate.run_tests
+
+        def recorded(*args, **kwargs):
+            seen.append(threading.get_ident())
+            time.sleep(0.01)  # let the other pool thread take the next replication
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "run_tests", recorded)
+        return seen
+
+    def test_run_mc_default_runs_on_every_core(self, monkeypatch):
+        serial = run_mc(self.design, McConfig(threads=1, **self.kw))
+        seen = self.threads_seen(monkeypatch, 2)
+        pooled = run_mc(self.design, McConfig(**self.kw))
+        assert len(seen) == 8 and len(set(seen)) == 2
+        assert threading.get_ident() not in seen
+        assert pooled.rates == serial.rates and pooled.ses == serial.ses
+
+    def test_power_sweep_default_runs_on_every_core(self, monkeypatch):
+        serial = power_sweep(40, 6, 0.3, [0.0, 0.4], McConfig(threads=1, **self.kw))
+        seen = self.threads_seen(monkeypatch, 2)
+        pooled = power_sweep(40, 6, 0.3, [0.0, 0.4], McConfig(**self.kw))
+        assert len(seen) == 16 and len(set(seen)) == 2
+        assert threading.get_ident() not in seen
+        assert pooled.rates == serial.rates and pooled.ses == serial.ses
+
+    @pytest.mark.parametrize("threads, cores, sims", [
+        (1, 2, 8),     # the opt-out
+        (None, 1, 8),  # one usable core
+        (None, 2, 1),  # one replication: on the calling thread, its passes split
+    ])
+    def test_serial_runs_on_the_calling_thread(self, monkeypatch, threads, cores, sims):
+        seen = self.threads_seen(monkeypatch, cores)
+        run_mc(self.design, McConfig(**{**self.kw, "sims": sims, "threads": threads}))
+        assert len(seen) == sims and set(seen) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("threads, cores, sims, workers", [
+        (None, 2, 8, 2), (None, 4, 3, 3), (None, 1, 8, 1), (3, 2, 1, 3), (1, 4, 8, 1),
+    ])
+    def test_resolved_worker_count(self, monkeypatch, threads, cores, sims, workers):
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", cores)
+        mc = McConfig(**{**self.kw, "sims": sims, "threads": threads})
+        assert simulate._workers(mc) == workers
 
 
 @pytest.fixture
@@ -321,13 +423,14 @@ class TestBlasPin:
 
     design = DesignSpec(1, 40, 130, 0.0, "uniform")  # three column blocks: products split
 
-    def test_pooled_run_uses_one_blas_thread_and_restores(self, blas, monkeypatch):
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_pooled_run_uses_one_blas_thread_and_restores(self, blas, monkeypatch, threads):
         seen = blas_counts(monkeypatch, blas)
-        run_mc(self.design, McConfig(sims=4, methods=("sn1", "mb1"), threads=2))
+        run_mc(self.design, McConfig(sims=4, methods=("sn1", "mb1"), threads=threads))
         assert seen and set(seen) == {1}
         assert blas() == 2
 
-    @pytest.mark.parametrize("threads", [None, 1])
+    @pytest.mark.parametrize("threads", [1])
     def test_serial_run_pins_blas_during_products(self, blas, monkeypatch, threads):
         seen = blas_counts(monkeypatch, blas)
         run_mc(self.design, McConfig(sims=3, methods=("sn1", "mb1"), threads=threads))
