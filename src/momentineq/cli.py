@@ -15,7 +15,8 @@ a fixed key order and prints numbers with 12 significant digits; non-finite
 numbers appear as the strings "inf", "-inf", or "nan".
 
 Exit status: 0 success, 2 input error (including a file that is not UTF-8
-text), 3 statistical precondition violation (including a non-finite critical
+text, and an ``--out`` file that cannot be written, refused before any work
+runs), 3 statistical precondition violation (including a non-finite critical
 value), 64 usage error.
 """
 
@@ -266,6 +267,7 @@ def cmd_mc(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
+    _check_writable(args.out, _sidecar_path(args.out))
     result = run_mc(design, mc)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -289,6 +291,17 @@ def cmd_mc(args) -> int:
 
 def _sidecar_path(out: str) -> str:
     return (out[:-4] if out.endswith(".csv") else out) + ".json"
+
+
+def _check_writable(*paths) -> None:
+    """Refuse an output file that cannot be written, before any work runs."""
+    for path in paths:
+        folder = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(folder):
+            raise InputError(f"cannot write {path}: no directory {folder}")
+        if os.path.isdir(path) or not os.access(
+                path if os.path.exists(path) else folder, os.W_OK):
+            raise InputError(f"cannot write {path}: not a writable file")
 
 
 def _load_grid(grid_dir):
@@ -323,6 +336,7 @@ def cmd_invert(args) -> int:
         method=args.method, alpha=args.alpha, beta=args.beta,
         replications=args.reps, seed=args.seed,
     )
+    _check_writable(args.out)
     grid = _load_grid(args.grid)
     region = invert_region(grid, spec)
     with open(args.out, "w", newline="") as fh:

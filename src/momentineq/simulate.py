@@ -7,7 +7,9 @@ off-diagonal entries ``rho``), designs 3, 4, 7, 8 an autoregressive one
 ``gamma`` fraction of columns and -0.8 after), designs 5-8 violate it (0.05
 everywhere, or 0.05 then -0.75).  Innovations are either Student's t with 4
 degrees of freedom scaled to unit variance, or uniform on
-``(-sqrt(3), sqrt(3))``.
+``(-sqrt(3), sqrt(3))``.  The AR filter is ``scipy.signal.lfilter``, imported
+on a process's first AR draw and not with the package, since
+``scipy.signal`` loads ``scipy.stats`` and costs most of an import.
 
 ``run_mc`` estimates rejection rates over independent replications, one
 substream per replication, so results do not depend on execution order or
@@ -27,7 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from . import bootstrap
@@ -136,6 +137,9 @@ def _apply_ar(eps: np.ndarray, rho: float) -> np.ndarray:
     """The AR(1) filter along each row, after scaling ``eps`` in place."""
     if rho == 0.0:
         return eps
+    # scipy.signal pulls in scipy.stats and costs most of an import; only AR draws need it
+    from scipy.signal import lfilter
+
     eps[:, 1:] *= math.sqrt(1.0 - rho * rho)
     return lfilter([1.0], [1.0, -rho], eps, axis=1)
 

@@ -275,6 +275,27 @@ def test_non_utf8_file_is_input_error(tmp_path, capsys, argv):
     assert err.count("\n") == 1
 
 
+# ``--out`` cases that cannot be written, by the reason the CLI names
+UNWRITABLE = ["no directory", "not a writable file"]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the work ran before the output was checked")
+
+
+def unwritable_out(tmp_path, monkeypatch, where):
+    """An ``--out`` path that cannot be written, for the reason ``where``."""
+    if where == "no directory":
+        return str(tmp_path / "missing" / "x.csv")
+    # root may write anywhere, so the denial is simulated for the one folder
+    folder = tmp_path / "locked"
+    folder.mkdir()
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: (
+        False if os.path.samefile(path, folder) else access(path, mode)))
+    return str(folder / "x.csv")
+
+
 class TestCmdMc:
     def test_writes_csv_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"
@@ -325,6 +346,27 @@ class TestCmdMc:
         rc = main(["mc", "--design", "1", "--p", "4", "--dist", "cauchy",
                    "--sims", "5", "--out", str(tmp_path / "x.csv")])
         assert rc == 64
+
+    @pytest.mark.parametrize("where", UNWRITABLE)
+    def test_unwritable_out_is_input_error_before_any_replication(
+            self, tmp_path, monkeypatch, capsys, where):
+        monkeypatch.setattr(cli, "run_mc", refuse)
+        out = unwritable_out(tmp_path, monkeypatch, where)
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["mc", "--design", "1", "--p", "20", "--n", "100", "--sims", "200",
+                   "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"momentineq: input error: cannot write {out}: {where}")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_sidecar_that_cannot_be_written_is_refused_before_any_replication(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_mc", refuse)
+        (tmp_path / "rates.json").mkdir()
+        assert main(["mc", "--design", "1", "--p", "4", "--sims", "5",
+                     "--out", str(tmp_path / "rates.csv")]) == 2
+        assert not (tmp_path / "rates.csv").exists()
 
 
 class TestCmdInvert:
@@ -389,6 +431,25 @@ class TestCmdInvert:
         write_csv(gdir / "point_b.csv", rng.normal(size=(12, 1)))
         assert main(["invert", "--grid", str(gdir), "--method", "sn1",
                      "--out", str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize("where", UNWRITABLE)
+    def test_unwritable_out_is_input_error_before_any_grid_point(
+            self, tmp_path, monkeypatch, capsys, where):
+        monkeypatch.setattr(cli, "invert_region", refuse)
+        gdir = self.make_grid(tmp_path, np.arange(10.0), [0.0, 1.0])
+        out = unwritable_out(tmp_path, monkeypatch, where)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["invert", "--grid", str(gdir), "--method", "sn1", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"momentineq: input error: cannot write {out}: {where}")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_directory_as_out_is_input_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "invert_region", refuse)
+        gdir = self.make_grid(tmp_path, np.arange(10.0), [0.0])
+        assert main(["invert", "--grid", str(gdir), "--method", "sn1",
+                     "--out", str(gdir)]) == 2
+        assert capsys.readouterr().err.endswith(": not a writable file\n")
 
 
 class TestCmdThreestep:

@@ -2,6 +2,10 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -300,3 +304,72 @@ def test_the_monte_carlo_loop_runs_every_method_through_run_tests():
             names.update({node.name, node.asname})
     assert "run_tests" in names
     assert "run_test" not in names
+
+
+def test_scipy_signal_is_named_only_by_the_ar_filter():
+    # importing scipy.signal loads scipy.stats, optimize and interpolate: most of an import
+    users = []
+    for path, tree, owner in package_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            if any(n == "scipy.signal" or n.startswith("scipy.signal.") for n in names):
+                users.append((path.stem, owner.get(id(node), "<module>")))
+    assert set(users) == {("simulate", "_apply_ar")}
+
+
+def fresh(code):
+    """Run ``code`` in a new interpreter that imports this package; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(momentineq.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], env=env, check=True,
+        capture_output=True, text=True, timeout=300,
+    ).stdout
+
+
+def test_import_leaves_the_heavy_scipy_modules_to_the_first_ar_draw():
+    loaded = fresh("""
+        import sys
+        import momentineq, momentineq.cli
+        heavy = ["scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate",
+                 "scipy.linalg"]
+        print(*[m for m in heavy if m in sys.modules])
+        from momentineq import DesignSpec, SeededStream, draw_sample
+        draw_sample(DesignSpec(8, 20, 6, 0.5, "t4"), SeededStream(1))
+        print("scipy.signal" in sys.modules)
+    """).splitlines()
+    assert loaded == ["", "True"]
+
+
+DRAWS = """
+    import hashlib, sys, threading
+    from concurrent.futures import ThreadPoolExecutor
+    from momentineq import DesignSpec, SeededStream, draw_sample
+    assert "scipy.signal" not in sys.modules
+    spec = DesignSpec(8, 40, 30, 0.5, "t4")
+    both = threading.Barrier(2, timeout=60)
+
+    def draw(i, wait):
+        if wait:
+            both.wait()  # the two first draws load scipy.signal at the same time
+        return draw_sample(spec, SeededStream(3).child(i)).tobytes()
+
+    if {pooled}:
+        with ThreadPoolExecutor(2) as pool:
+            samples = list(pool.map(draw, range(4), [True] * 4))
+    else:
+        samples = [draw(i, False) for i in range(4)]
+    print(hashlib.sha256(b"".join(samples)).hexdigest())
+"""
+
+
+def test_first_ar_draws_on_two_threads_at_once_match_serial_draws():
+    assert fresh(DRAWS.format(pooled=True)) == fresh(DRAWS.format(pooled=False))
