@@ -32,37 +32,36 @@ column, or permuting columns never changes the randomness a replication
 sees.
 
 Threads: every pass runs its products on one OpenBLAS thread (see
-:class:`_OneBlasThread`) and splits its costly parts into shares, one per
-core: the calling thread takes the first and a pool of the package's own
-threads the rest.  An MB or BMB multiplier block fills in runs of whole rows,
-each drawing from a generator placed at its first scalar; an EB count block,
-whose draws consume a value-dependent number of Philox outputs, fills on the
-calling thread.  The 64-wide column blocks are multiplied in contiguous runs,
-one per share.  A share draws and multiplies what the whole pass would, so
-no bit depends on the share count or the BLAS thread count.  ``run_mc`` and
-``power_sweep`` run their replications on a pool of their own, by default
-one thread per core; passes on its threads, which already fill the cores, do
-not split.  A pass on any other thread splits: a lone test's, or one of a
-serial Monte Carlo run (``threads=1``).
+:class:`_OneBlasThread`) and fills its weight block (multipliers or
+resampling counts) on the calling thread.  Its 64-wide column blocks are
+multiplied in contiguous runs, one per share and up to one share per core:
+the calling thread takes the first, and threads that the pass starts and
+joins before it returns take the rest.  Every block's product has the shape
+and operands it has alone, so no bit depends on the share count or the BLAS
+thread count.  ``run_mc`` and ``power_sweep`` run their replications on a
+pool of their own, by default one thread per core; passes on its threads,
+which already fill the cores, do not split.  A pass on any other thread
+splits: a lone test's, or one of a serial Monte Carlo run (``threads=1``).
 
 Memory: every bootstrap pass builds its ``k x n`` weight block (multipliers
 or resampling counts) in a workspace of the calling thread, and each share
 takes the ``k x 64`` product of each of its column blocks in a workspace of
-its own thread.  Both are reused by that thread's next pass, so a warm pass
-maps no fresh pages.  The weight block is bounded by ``_CHUNK_SCALARS``
-scalars (one row when a row alone is larger).  A pass splits its column
-blocks into no more shares than keep its products within ``_CHUNK_SCALARS``
-scalars together; one share always runs, and its product is ``64 / n``
-times the weight block.  A thread keeps workspaces of at most
-``_CHUNK_SCALARS`` scalars until it ends (a larger block lives for its pass
-only), and a pass-pool thread, which only takes one of two or more shares,
-a product of at most half that.  They never leave this module, and every
-array returned to a caller is its own.  A weight block that is one chunk is
-kept past its pass: until the thread's next pass with another ``(stream,
-builder, B, rows)`` overwrites it, a pass with the same four (the cutoff
-over a two-step selection, a shifted sample of the same replication) takes
-its products from the kept block (see :func:`_rowmax_draws`).  A block is a
-function of those four alone, so no bit moves, and no memory is added.
+the thread that runs it.  The calling thread reuses both in its next pass,
+so a warm pass that does not split maps no fresh pages; a thread started
+for a share ends with its run of blocks, and its product workspace with it.
+The weight block is bounded by ``_CHUNK_SCALARS`` scalars (one row when a
+row alone is larger).  A pass splits its column blocks into no more shares
+than keep its products within ``_CHUNK_SCALARS`` scalars together; one
+share always runs, and its product is ``64 / n`` times the weight block.  A
+thread keeps workspaces of at most ``_CHUNK_SCALARS`` scalars until it ends
+(a larger block lives for its pass only).  They never leave this module,
+and every array returned to a caller is its own.  A weight block that is
+one chunk is kept past its pass: until the thread's next pass with another
+``(stream, builder, B, rows)`` overwrites it, a pass with the same four (the
+cutoff over a two-step selection, a shifted sample of the same replication)
+takes its products from the kept block (see :func:`_rowmax_draws`).  A
+block is a function of those four alone, so no bit moves, and no memory is
+added.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,7 +92,7 @@ from .core import (
     summarize,
 )
 from .errors import DegenerateColumnError
-from .gaussian import SeededStream, _ahead, open_uniform
+from .gaussian import SeededStream, open_uniform
 from .sn import _sn_from_tail, sn_select, threshold_select
 
 __all__ = [
@@ -135,18 +134,12 @@ _workspace = threading.local()
 # _workspace, which holds arrays only.
 _held = threading.local()
 
-# The usable cores.  A pass splits its multiplier fill and its column blocks
-# into up to this many shares: the calling thread takes the first, and a pool
-# of one thread fewer the rest.  Each share draws and multiplies what the
-# whole pass would, on one BLAS thread, so the count moves no bit.  run_mc
-# runs its replications on this many threads by default.
+# The usable cores.  A pass splits its column blocks into up to this many
+# shares, each multiplying what the whole pass would on one BLAS thread, so
+# the count moves no bit.  run_mc runs its replications on this many threads
+# by default.
 _PASS_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
-
-# The pass pool, built on the first split and forgotten in a forked child,
-# whose copy of it has no threads.
-_pool = None
-_pool_lock = threading.Lock()
 
 # Threads of run_mc's own pool, which already fills the cores: their passes
 # run on the thread alone (see _keep_passes_whole).
@@ -220,15 +213,8 @@ class _OneBlasThread:
 
 _one_blas_thread = _OneBlasThread()
 
-
-def _reset_in_child():
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-    _one_blas_thread._after_fork()
-
-
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_in_child)
+    os.register_at_fork(after_in_child=_one_blas_thread._after_fork)
 
 
 def _keep_passes_whole():
@@ -241,31 +227,18 @@ def _shares() -> int:
     return 1 if getattr(_whole, "on", False) else _PASS_WORKERS
 
 
-def _pass_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_PASS_WORKERS - 1,
-                                       thread_name_prefix="momentineq-pass")
-        return _pool
-
-
 def _on_shares(tasks) -> list:
-    """The results of ``tasks``, in order: the first runs here, the others on the pass pool.
+    """The results of ``tasks``, in order: the first runs here, each other on a thread of its own.
 
-    Returns or raises only once every task has finished, so no worker
-    writes into a block or workspace after its pass ends.
+    The threads start here and are joined before this returns or raises,
+    so no worker writes into a block or workspace after its pass ends, and
+    none outlives the pass.
     """
     if len(tasks) == 1:
         return [tasks[0]()]
-    futures = []
-    try:
-        pool = _pass_pool()
-        for task in tasks[1:]:
-            futures.append(pool.submit(task))
+    with ThreadPoolExecutor(len(tasks) - 1, thread_name_prefix="momentineq-pass") as pool:
+        futures = [pool.submit(task) for task in tasks[1:]]
         first = tasks[0]()
-    finally:
-        wait(futures)
     return [first] + [f.result() for f in futures]
 
 
@@ -350,28 +323,12 @@ def _row_pieces(out: np.ndarray):
 def _normal_weights(gen, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (replications x rows) with i.i.d. N(0,1) multipliers, one per row.
 
-    The block is filled in up to one run of whole rows per share of the
-    pass, none below ``_PIECE_SCALARS`` scalars.  ``open_uniform`` takes one
-    Philox output per value, so a run draws from a generator placed at its
-    first scalar (:func:`~momentineq.gaussian._ahead`) the bits of one call
-    over ``out``, and ``gen`` is left where that call leaves it.
+    The block fills on the calling thread, piece by piece in row-major
+    order, so it draws the bits of one ``open_uniform`` call over ``out``
+    and leaves ``gen`` where that call would.
     """
-    k = out.shape[0]
-    count = max(1, min(_shares(), k, out.size // _PIECE_SCALARS))
-    edges = [k * i // count for i in range(count + 1)]
-    gens = [gen] + [_ahead(gen, a * out.shape[1]) for a in edges[1:-1]]
-
-    def fill(run, g):
-        for piece in _row_pieces(run):
-            ndtri(open_uniform(g, piece.shape), out=piece)
-
-    _on_shares([functools.partial(fill, out[a:b], g)
-                for a, b, g in zip(edges, edges[1:], gens)])
-    if count > 1:
-        state = gens[-1].bit_generator.state
-        kept = gen.bit_generator.state
-        state.update(has_uint32=kept["has_uint32"], uinteger=kept["uinteger"])
-        gen.bit_generator.state = state
+    for piece in _row_pieces(out):
+        ndtri(open_uniform(gen, piece.shape), out=piece)
     return out
 
 

@@ -49,12 +49,25 @@ class BlockPlan:
     empty) ends the range.  The plan stores these four numbers alone, so its
     size does not grow with ``n``; ``large_blocks`` and ``small_blocks``
     list the 0-based half-open ``(start, stop)`` ranges when they are read.
+
+    A plan checks itself: a ``ValueError`` refuses one that breaks ``1 <= r < q``,
+    ``q + r <= n / 2`` or ``m == n // (q + r)``.
     """
 
     n: int
     q: int
     r: int
     m: int
+
+    def __post_init__(self):
+        for name in ("n", "q", "r", "m"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        if not self.r < self.q:
+            raise ValueError(f"need r < q, got q={self.q}, r={self.r}")
+        if not 2 * (self.q + self.r) <= self.n:
+            raise ValueError(f"need q + r <= n/2, got q+r={self.q + self.r} with n={self.n}")
+        if self.m != self.n // (self.q + self.r):
+            raise ValueError(f"need m = n // (q + r) = {self.n // (self.q + self.r)}, got {self.m}")
 
     @property
     def _starts(self) -> range:
@@ -77,17 +90,14 @@ def make_blocks(n: int, q: int, r: int) -> BlockPlan:
     """Alternating block partition with large length ``q`` and small length ``r``.
 
     Requires ``1 <= r < q`` and ``q + r <= n / 2`` (at least two full
-    large/small cycles fit).  The trailing remainder after the last small
-    block forms one extra small block.
+    large/small cycles fit); :class:`BlockPlan` checks them.  The trailing
+    remainder after the last small block forms one extra small block.
     """
-    n, q, r = check_count("n", n), check_count("q", q), check_count("r", r)
-    if not r < q:
-        raise ValueError(f"need r < q, got q={q}, r={r}")
-    if not 2 * (q + r) <= n:
-        raise ValueError(
-            f"need q + r <= n/2, got q+r={q + r} with n={n}"
-        )
-    return BlockPlan(n=n, q=q, r=r, m=n // (q + r))
+    try:
+        m = n // (q + r)
+    except (TypeError, ZeroDivisionError):
+        m = 0  # lengths the plan refuses by name before it reads m
+    return BlockPlan(n=n, q=q, r=r, m=m)
 
 
 def default_block_lengths(n: int) -> tuple[int, int]:

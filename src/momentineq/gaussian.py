@@ -90,26 +90,6 @@ def open_uniform(gen: np.random.Generator, size) -> np.ndarray:
     return u
 
 
-def _ahead(gen: np.random.Generator, count: int) -> np.random.Generator:
-    """A new generator on ``gen``'s Philox key, ``count`` outputs past where ``gen`` stands.
-
-    Philox yields four 64-bit outputs per counter value, and ``gen`` has
-    taken ``4 (counter - 1) + buffer_pos`` of them.  A fresh generator on the
-    key is moved there by ``advance`` over whole counter values and
-    ``random_raw`` for the rest.  :func:`open_uniform` takes one output per
-    value, so the new generator draws what ``gen`` would after ``count``
-    values.
-    """
-    state = gen.bit_generator.state
-    counter, key = (sum(int(w) << 64 * i for i, w in enumerate(state["state"][name]))
-                    for name in ("counter", "key"))
-    at = 4 * counter - 4 + int(state["buffer_pos"]) + count
-    bits = np.random.Philox(key=key)
-    bits.advance(at // 4)
-    bits.random_raw(at % 4)
-    return np.random.Generator(bits)
-
-
 def standard_normal_draws(stream: SeededStream, count: int) -> np.ndarray:
     """``count`` i.i.d. N(0,1) draws, fully determined by the stream.
 

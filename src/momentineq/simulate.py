@@ -181,6 +181,9 @@ class McConfig:
         )
         if not self.methods:
             raise ValueError("need at least one method")
+        for i, m in enumerate(self.methods):
+            if m in self.methods[:i]:
+                raise ValueError(f"method {m!r} is listed more than once")
         if self.threads is not None:
             check_count("threads", self.threads)
         # the replication streams hang below the seed whatever the methods

@@ -257,33 +257,24 @@ class TestPiecewiseWeights:
         (32_768, 200, 400),  # the default piece: pieces of 81, 81 and 38 rows
     ], ids=["split", "long-rows", "one-row", "one-replication", "default"])
     def test_pieces_draw_the_bits_of_one_call(self, monkeypatch, scheme, piece, k, rows):
+        # on a fresh generator, and on one whose float32 draws left a spare
+        # 32-bit half-word (1) or stand mid-way in Philox's four outputs (6)
         monkeypatch.setattr(bootstrap, "_PIECE_SCALARS", piece)
         build, reference = {
             "MB": (bootstrap._normal_weights, self.mb_reference),
             "EB": (bootstrap._count_weights, self.eb_reference),
         }[scheme]
-        gen, ref_gen = SeededStream(31).generator(), SeededStream(31).generator()
-        out = np.full((k, rows), np.nan)
-        assert build(gen, out) is out
-        assert out.tobytes() == reference(ref_gen, k, rows).tobytes()
-        assert self.state(gen) == self.state(ref_gen)
-        assert gen.bit_generator.random_raw() == ref_gen.bit_generator.random_raw()
-
-    @pytest.mark.parametrize("taken", [0, 1, 6], ids=["fresh", "odd-half-word", "mid-buffer"])
-    def test_runs_on_three_shares_draw_the_bits_of_one_call(self, monkeypatch, taken):
-        # 9 x 4 multipliers in three runs of three rows; a float32 draw
-        # leaves a spare 32-bit half-word that the runs must keep
-        monkeypatch.setattr(bootstrap, "_PIECE_SCALARS", 10)
-        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 3)
-        gen, ref_gen = SeededStream(31).generator(), SeededStream(31).generator()
-        for g in (gen, ref_gen):
-            g.random(taken, dtype=np.float32)
-        out = np.full((9, 4), np.nan)
-        assert bootstrap._normal_weights(gen, out) is out
-        assert out.tobytes() == self.mb_reference(ref_gen, 9, 4).tobytes()
-        assert self.state(gen) == self.state(ref_gen)
-        assert gen.random(3, dtype=np.float32).tobytes() == ref_gen.random(
-            3, dtype=np.float32).tobytes()
+        for taken in (0, 1, 6):
+            gen, ref_gen = SeededStream(31).generator(), SeededStream(31).generator()
+            for g in (gen, ref_gen):
+                g.random(taken, dtype=np.float32)
+            out = np.full((k, rows), np.nan)
+            assert build(gen, out) is out
+            assert out.tobytes() == reference(ref_gen, k, rows).tobytes()
+            assert self.state(gen) == self.state(ref_gen)
+            assert gen.random(3, dtype=np.float32).tobytes() == ref_gen.random(
+                3, dtype=np.float32).tobytes()
+            assert gen.bit_generator.random_raw() == ref_gen.bit_generator.random_raw()
 
     @pytest.mark.parametrize("r", [400, 2 ** 31 + 1])
     def test_bounded_integers_are_chunk_invariant(self, r):
@@ -547,7 +538,7 @@ def forked_cutoff(x, spec, results):
 
 
 class TestPassPool:
-    """The pool a pass splits over: it waits for every share and survives a fork."""
+    """The threads a pass splits over: it joins every share before it ends, and survives a fork."""
 
     @pytest.fixture
     def two_shares(self, monkeypatch):
@@ -567,6 +558,12 @@ class TestPassPool:
         with pytest.raises(RuntimeError, match="first share failed"):
             bootstrap._blocked_rowmax(np.ones((10, 5)), np.ones((5, 128)))
         assert ended == [(5, 64)]
+
+    def test_a_split_pass_leaves_no_thread_behind(self, monkeypatch):
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 3)
+        out = bootstrap._blocked_rowmax(np.ones((10, 5)), np.ones((5, 256)))
+        assert out.tolist() == [5.0] * 10
+        assert [t.name for t in threading.enumerate() if t.name.startswith("momentineq-pass")] == []
 
     @pytest.mark.parametrize("chunk, runs", [(None, [64, 64, 128]), (2 * 10 * 64, [128, 128]),
                                              (10 * 64 - 1, [256])],
@@ -624,7 +621,6 @@ class TestPassPool:
         x = np.random.default_rng(2).normal(size=(400, 130))
         spec = CriticalValueSpec("mb1", replications=1000)
         expected = run_test(x, spec, stream=SeededStream(8)).critical_value
-        assert bootstrap._pool is not None
         api = bootstrap._openblas()
         before = api[0]() if api else None
         started, release = threading.Event(), threading.Event()

@@ -347,6 +347,16 @@ class TestCmdMc:
                    "--sims", "5", "--out", str(tmp_path / "x.csv")])
         assert rc == 64
 
+    def test_repeated_method_is_usage_error_before_any_replication(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_mc", refuse)
+        out = tmp_path / "x.csv"
+        rc = main(["mc", "--design", "1", "--p", "4", "--sims", "5",
+                   "--methods", "mb1,MB1", "--out", str(out)])
+        assert rc == 64
+        assert "method 'mb1' is listed more than once" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("where", UNWRITABLE)
     def test_unwritable_out_is_input_error_before_any_replication(
             self, tmp_path, monkeypatch, capsys, where):

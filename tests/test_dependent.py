@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ndtri
 
 from momentineq import (
+    BlockPlan,
     SeededStream,
     UndefinedCriticalValueError,
     bmb_test,
@@ -55,6 +56,21 @@ class TestMakeBlocks:
             make_blocks(100, 3, 3)  # r must be < q
         with pytest.raises(ValueError):
             make_blocks(100, 3, 0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"n": 200, "q": 50, "r": 10, "m": 10}, r"need m = n // \(q \+ r\) = 3, got 10"),
+        ({"n": 200, "q": 5, "r": 2, "m": 29}, r"need m = n // \(q \+ r\) = 28, got 29"),
+        ({"n": 10, "q": 4, "r": 2, "m": 1}, r"need q \+ r <= n/2"),
+        ({"n": 100, "q": 3, "r": 3, "m": 16}, "need r < q"),
+        ({"n": 100, "q": 3, "r": 0, "m": 33}, "^r must be an integer"),
+        ({"n": 200, "q": 5, "r": 2, "m": 28.0}, "^m must be an integer"),
+    ], ids=["blocks-past-n", "one-block-too-many", "one-cycle", "r-not-below-q", "r-zero",
+            "float-m"])
+    def test_a_plan_checks_itself(self, fields, message):
+        # bmb_test on the first plan built by hand summed "blocks" starting past row 200
+        with pytest.raises(ValueError, match=message):
+            BlockPlan(**fields)
+        assert BlockPlan(n=200, q=5, r=2, m=28) == make_blocks(200, 5, 2)
 
     def test_default_lengths(self):
         q, r = default_block_lengths(400)

@@ -200,12 +200,17 @@ def calls_of(name):
 
 def test_thread_pools_are_built_only_by_the_pass_pool_and_the_monte_carlo_loop():
     assert sorted(calls_of("ThreadPoolExecutor")) == [
-        ("bootstrap", "_pass_pool"), ("simulate", "_rejections")]
+        ("bootstrap", "_on_shares"), ("simulate", "_rejections")]
 
 
-def test_generators_are_moved_ahead_in_one_place():
-    # a run of a split multiplier fill draws from a generator placed at its first scalar
-    assert calls_of("advance") == [("gaussian", "_ahead")]
+def test_no_generator_is_moved_or_its_state_touched():
+    # every draw continues its generator where the last one left it
+    touched = [
+        (path.stem, owner.get(id(node), "<module>"))
+        for path, tree, owner in package_sources() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("state", "advance", "jumped")
+    ]
+    assert touched == []
 
 
 def test_both_schemes_and_the_diagnostics_build_one_studentized_target():

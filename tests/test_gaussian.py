@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtri
 
 from momentineq import SeededStream, standard_normal_draws
-from momentineq.gaussian import _ahead, open_uniform
+from momentineq.gaussian import open_uniform
 
 mp.mp.dps = 40
 
@@ -126,13 +126,17 @@ class TestStandardNormalDraws:
 
 
 class TestAhead:
-    """A generator placed ``count`` uniforms ahead draws what the original draws after them."""
+    """Uniforms drawn ahead in parts continue the stream: the bits of one call.
+
+    Each call starts where the last left off, at any place in Philox's four
+    outputs per counter, which the multiplier fill's row pieces rely on.
+    """
 
     @pytest.mark.parametrize("taken", [0, 1, 3, 4, 5, 8, 11])
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7, 4 * 10 ** 6 + 1])
     def test_draws_continue_the_stream(self, taken, count):
-        gen = SeededStream(3, (("MB", 0),)).generator()
-        open_uniform(gen, taken)
-        ahead = _ahead(gen, count)
-        tail = open_uniform(gen, count + 9)[count:]
-        assert open_uniform(ahead, 9).tobytes() == tail.tobytes()
+        stream = SeededStream(3, (("MB", 0),))
+        gen = stream.generator()
+        parts = [open_uniform(gen, size) for size in (taken, count, 9)]
+        whole = open_uniform(stream.generator(), taken + count + 9)
+        assert np.concatenate(parts).tobytes() == whole.tobytes()

@@ -287,6 +287,11 @@ class TestRunMc:
         with pytest.raises(ValueError):
             McConfig(sims=10, methods=())
 
+    def test_a_repeated_method_is_refused(self):
+        # it used to run twice and fold into one rate
+        with pytest.raises(ValueError, match="method 'mb1' is listed more than once"):
+            McConfig(sims=10, methods=("mb1", "MB1", "sn1"))
+
     @pytest.mark.parametrize("bad", [
         {"alpha": 0.9},
         {"seed": 2 ** 64},
