@@ -257,24 +257,37 @@ class TestPiecewiseWeights:
         (32_768, 200, 400),  # the default piece: pieces of 81, 81 and 38 rows
     ], ids=["split", "long-rows", "one-row", "one-replication", "default"])
     def test_pieces_draw_the_bits_of_one_call(self, monkeypatch, scheme, piece, k, rows):
-        # on a fresh generator, and on one whose float32 draws left a spare
-        # 32-bit half-word (1) or stand mid-way in Philox's four outputs (6)
         monkeypatch.setattr(bootstrap, "_PIECE_SCALARS", piece)
         build, reference = {
             "MB": (bootstrap._normal_weights, self.mb_reference),
             "EB": (bootstrap._count_weights, self.eb_reference),
         }[scheme]
-        for taken in (0, 1, 6):
+        gen, ref_gen = SeededStream(31).generator(), SeededStream(31).generator()
+        out = np.full((k, rows), np.nan)
+        assert build(gen, out) is out
+        assert out.tobytes() == reference(ref_gen, k, rows).tobytes()
+        assert self.state(gen) == self.state(ref_gen)
+        assert gen.bit_generator.random_raw() == ref_gen.bit_generator.random_raw()
+
+    @pytest.mark.parametrize("taken", [0, 1, 6], ids=["fresh", "odd-half-word", "mid-buffer"])
+    def test_runs_on_three_shares_draw_the_bits_of_one_call(self, monkeypatch, taken):
+        # 9 x 4 weights in pieces of two rows, with three pass workers: the
+        # fill stays on the calling thread whatever the worker count, and
+        # takes up a generator whose float32 draws left a spare 32-bit
+        # half-word (1) or stand mid-way in Philox's four outputs (6)
+        monkeypatch.setattr(bootstrap, "_PIECE_SCALARS", 10)
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 3)
+        for build, reference in ((bootstrap._normal_weights, self.mb_reference),
+                                 (bootstrap._count_weights, self.eb_reference)):
             gen, ref_gen = SeededStream(31).generator(), SeededStream(31).generator()
             for g in (gen, ref_gen):
                 g.random(taken, dtype=np.float32)
-            out = np.full((k, rows), np.nan)
+            out = np.full((9, 4), np.nan)
             assert build(gen, out) is out
-            assert out.tobytes() == reference(ref_gen, k, rows).tobytes()
+            assert out.tobytes() == reference(ref_gen, 9, 4).tobytes()
             assert self.state(gen) == self.state(ref_gen)
             assert gen.random(3, dtype=np.float32).tobytes() == ref_gen.random(
                 3, dtype=np.float32).tobytes()
-            assert gen.bit_generator.random_raw() == ref_gen.bit_generator.random_raw()
 
     @pytest.mark.parametrize("r", [400, 2 ** 31 + 1])
     def test_bounded_integers_are_chunk_invariant(self, r):
