@@ -72,7 +72,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +86,6 @@ from .core import (
     _diagnostics,
     _studentized_columns,
     as_sample_matrix,
-    check_count,
     decide,
     summarize,
 )
@@ -96,10 +94,6 @@ from .gaussian import SeededStream, open_uniform
 from .sn import _sn_from_tail, sn_select, threshold_select
 
 __all__ = [
-    "BootstrapDraws",
-    "mb_draws",
-    "eb_draws",
-    "empirical_quantile",
     "run_test",
     "run_tests",
 ]
@@ -242,22 +236,6 @@ def _on_shares(tasks) -> list:
     return [first] + [f.result() for f in futures]
 
 
-@dataclass(frozen=True)
-class BootstrapDraws:
-    """Realizations of the bootstrap max statistic over a restricted column set."""
-
-    values: np.ndarray
-    restricted_to: frozenset[int]
-
-
-def _columns_mask(J, p: int) -> np.ndarray:
-    """Validate a 1-based column set against ``p`` and return a 0-based index array."""
-    if J is None:
-        return np.arange(p)
-    cols = sorted({check_count("column", j, least=1, below=p + 1) for j in J})
-    return np.asarray(cols, dtype=np.intp) - 1
-
-
 def _buffer(name: str, shape) -> np.ndarray:
     """This thread's float64 workspace ``name``, viewed as ``shape``.
 
@@ -396,6 +374,7 @@ def _eb_values(x, s: MomentSummary, cols0, B, stream) -> np.ndarray:
 
 
 def _values(scheme, x, s: MomentSummary, cols0, B, stream) -> np.ndarray:
+    """``B`` draws of ``scheme`` over the 0-based ``cols0`` on ``stream``; zeros over none."""
     if cols0.size == 0:
         return np.zeros(B)
     name, values = ("multiplier", _mb_values) if scheme == "MB" else ("empirical", _eb_values)
@@ -403,34 +382,6 @@ def _values(scheme, x, s: MomentSummary, cols0, B, stream) -> np.ndarray:
     if bad.size:
         raise DegenerateColumnError(bad + 1, context=f"{name} bootstrap undefined")
     return values(x, s, cols0, B, stream)
-
-
-def _draws(scheme, sample, summary: MomentSummary, J, B: int, stream: SeededStream) -> BootstrapDraws:
-    x = as_sample_matrix(sample)
-    cols0 = _columns_mask(J, summary.p)
-    values = _values(scheme, x, summary, cols0, check_count("B", B), stream)
-    return BootstrapDraws(values=values, restricted_to=frozenset(int(c) + 1 for c in cols0))
-
-
-def mb_draws(sample, summary: MomentSummary, J, B: int, stream: SeededStream) -> BootstrapDraws:
-    """Multiplier bootstrap draws of the max statistic restricted to ``J``.
-
-    Replication ``b`` multiplies the centered rows by fresh N(0,1) weights
-    and records ``max_{j in J} sqrt(n) * mean_i(eps_i (x_ij - mean_j)) / sd_j``.
-    An empty ``J`` yields all zeros.  Raises
-    :class:`~momentineq.errors.DegenerateColumnError` if ``J`` contains a
-    zero-variance column.
-    """
-    return _draws("MB", sample, summary, J, B, stream)
-
-
-def eb_draws(sample, summary: MomentSummary, J, B: int, stream: SeededStream) -> BootstrapDraws:
-    """Empirical bootstrap draws of the max statistic restricted to ``J``.
-
-    Replication ``b`` draws ``n`` row indices with replacement and records
-    ``max_{j in J} sqrt(n) * (resampled mean_j - mean_j) / sd_j``.
-    """
-    return _draws("EB", sample, summary, J, B, stream)
 
 
 def _order_statistic_index(level: float, B: int) -> int:
@@ -454,11 +405,6 @@ def _order_statistic_index(level: float, B: int) -> int:
 def _quantile(values: np.ndarray, level: float) -> float:
     k = _order_statistic_index(level, len(values))
     return float(np.partition(values, k - 1)[k - 1])
-
-
-def empirical_quantile(draws: BootstrapDraws, level: float) -> float:
-    """Left-continuous empirical quantile: the ``ceil(level * B)``-th order statistic."""
-    return _quantile(np.asarray(draws.values, dtype=np.float64), level)
 
 
 def _select(rule: Rule, s: MomentSummary, beta, B, draws) -> frozenset[int]:

@@ -210,7 +210,7 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", default="sn1,sn2,mb1,mb2,eb1,eb2")
     p.add_argument("--threads", type=int, default=None,
                    help="threads running the replications (default: every "
-                        "usable core; 1 runs them serially)")
+                        "usable core, and at most that; 1 runs them serially)")
     p.add_argument("--out", required=True)
     _add_seeded(p)
 

@@ -1,12 +1,12 @@
-"""Reproducible random substreams and standard normal draws.
+"""Reproducible random substreams and open-interval uniforms.
 
 Every randomized procedure in this package draws from a :class:`SeededStream`,
 a value type identifying a substream by ``(master_seed, path)``.  The stream's
 Philox generator is keyed by a hash of that pair, so distinct paths yield
 independent streams and results never depend on wall clock, call order, or
-thread identity.  Normal variates are produced by inversion (quantile applied
-to open-interval uniforms), which keeps consumption patterns, and therefore
-reproducibility, independent of the values drawn.
+thread identity.  The package's normal variates are ``ndtri`` of
+:func:`open_uniform` draws (inversion), which keeps consumption patterns, and
+therefore reproducibility, independent of the values drawn.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import check_count
 
 __all__ = [
     "SeededStream",
-    "standard_normal_draws",
 ]
 
 _U53 = 0.5 ** 53  # spacing of the open-interval uniform grid
@@ -89,11 +87,3 @@ def open_uniform(gen: np.random.Generator, size) -> np.ndarray:
     u *= _U53
     return u
 
-
-def standard_normal_draws(stream: SeededStream, count: int) -> np.ndarray:
-    """``count`` i.i.d. N(0,1) draws, fully determined by the stream.
-
-    Uses inversion sampling; identical ``(master_seed, path, count)``
-    give bitwise-identical output.
-    """
-    return ndtri(open_uniform(stream.generator(), check_count("count", count)))

@@ -70,7 +70,8 @@ def invert_region(grid, spec: CriticalValueSpec) -> ConfidenceRegion:
 
     A grid point is accepted exactly when the test at that point does not
     reject.  Point ``k`` uses the substream ``(spec.seed, "theta", k)``; an
-    error at any point is re-raised naming the point's label.
+    error at any point is re-raised naming the point's label.  Labels must
+    be unique, since the region is a set of labels.
     """
     grid = list(grid)
     ns = {pt.g_values.shape[0] for pt in grid}
@@ -78,6 +79,11 @@ def invert_region(grid, spec: CriticalValueSpec) -> ConfidenceRegion:
         raise InputError(
             f"grid points disagree on the number of observations: {sorted(ns)}"
         )
+    labels = set()
+    for pt in grid:
+        if pt.label in labels:
+            raise InputError(f"grid label {pt.label!r} is repeated")
+        labels.add(pt.label)
     root = SeededStream(spec.seed)
     points = []
     accepted = []

@@ -160,10 +160,11 @@ def draw_sample(spec: DesignSpec, stream: SeededStream) -> np.ndarray:
 class McConfig:
     """Replication counts, sizes, methods, and seeding for one experiment.
 
-    ``threads`` is how many threads run the replications: ``None`` (the
-    default) means one per usable core, but no more than ``sims``, and
-    ``1`` runs them serially on the calling thread, for a caller that
-    already runs ``run_mc`` inside a pool of its own.  No rate depends on it.
+    ``threads`` is how many threads run the replications, at most the
+    usable cores and ``sims``: ``None`` (the default) means one per usable
+    core, and ``1`` runs them serially on the calling thread, for a caller
+    that already runs ``run_mc`` inside a pool of its own.  No rate
+    depends on it.
     """
 
     sims: int
@@ -217,14 +218,13 @@ class McResult:
 
 def _workers(mc: McConfig) -> int:
     """How many threads run ``mc``'s replications: ``mc.threads``, or by default
-    one per usable core, but no more than there are replications.
+    one per usable core, but no more than the usable cores or the replications.
 
     A lone replication on a pool thread would not split its passes, so a
-    default that resolves to 1 runs serially, each pass spread over the cores.
+    count that resolves to 1 runs serially, each pass spread over the cores.
     """
-    if mc.threads is not None:
-        return mc.threads
-    return min(bootstrap._PASS_WORKERS, mc.sims)
+    cores = bootstrap._PASS_WORKERS
+    return min(cores if mc.threads is None else mc.threads, cores, mc.sims)
 
 
 def _rejections(mc: McConfig, samples) -> np.ndarray:

@@ -17,9 +17,11 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import kstest
 
 import momentineq as mi
+from momentineq import bootstrap
 from momentineq.gaussian import open_uniform
 
 SEED = 20240311
@@ -131,10 +133,10 @@ def test_criterion_06_exact_invariant_suite():
         # duplication invariance of MB/EB draws under shared streams
         xdup = np.hstack([x, x[:, [2]]])
         s, sdup = mi.summarize(x), mi.summarize(xdup)
-        for fn in (mi.mb_draws, mi.eb_draws):
-            a = fn(x, s, None, 400, stream)
-            b = fn(xdup, sdup, None, 400, stream)
-            np.testing.assert_array_equal(a.values, b.values)
+        for scheme in ("MB", "EB"):
+            a = bootstrap._values(scheme, x, s, np.arange(6), 400, stream)
+            b = bootstrap._values(scheme, xdup, sdup, np.arange(7), 400, stream)
+            np.testing.assert_array_equal(a, b)
 
         # permutation invariance
         perm = np.array([5, 2, 0, 4, 1, 3])
@@ -168,13 +170,13 @@ def test_criterion_06_exact_invariant_suite():
 
         # seed and thread determinism of every seeded operation
         assert np.array_equal(
-            mi.standard_normal_draws(stream.child("z"), 256),
-            mi.standard_normal_draws(stream.child("z"), 256),
+            ndtri(open_uniform(stream.child("z").generator(), 256)),
+            ndtri(open_uniform(stream.child("z").generator(), 256)),
         )
-        for fn in (mi.mb_draws, mi.eb_draws):
+        for scheme in ("MB", "EB"):
             np.testing.assert_array_equal(
-                fn(x, s, [1, 3], 300, stream).values,
-                fn(x, s, [1, 3], 300, stream).values,
+                bootstrap._values(scheme, x, s, np.array([0, 2]), 300, stream),
+                bootstrap._values(scheme, x, s, np.array([0, 2]), 300, stream),
             )
         for method in ("mb1", "mb2", "eb1", "eb2", "hyb-mb", "hyb-eb"):
             spec = mi.CriticalValueSpec(method, replications=300, seed=SEED)
@@ -213,9 +215,9 @@ def test_criterion_07_distributional_oracle():
         rng = np.random.default_rng(SEED + 7)
         x = rng.normal(loc=0.3, scale=2.0, size=(400, 1))
         s = mi.summarize(x)
-        draws = mi.mb_draws(x, s, None, 100_000, mi.SeededStream(SEED + 7))
-        assert kstest(draws.values, "norm").statistic < 0.01
-        assert abs(mi.empirical_quantile(draws, 0.95) - 1.6449) <= 0.03
+        draws = bootstrap._values("MB", x, s, np.arange(1), 100_000, mi.SeededStream(SEED + 7))
+        assert kstest(draws, "norm").statistic < 0.01
+        assert abs(bootstrap._quantile(draws, 0.95) - 1.6449) <= 0.03
 
 
 def test_criterion_08_minimax_threshold_behavior():
@@ -269,7 +271,7 @@ def test_criterion_10_confidence_region_coverage():
         covered = 0
         reps = 500
         for k in range(reps):
-            xi = mi.standard_normal_draws(root.child("mc", k), n) + theta0
+            xi = ndtri(open_uniform(root.child("mc", k).generator(), n)) + theta0
             grid = [
                 mi.GridPoint(f"t{i}", (float(t),), (xi - t)[:, None])
                 for i, t in enumerate(thetas)

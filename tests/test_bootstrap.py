@@ -20,7 +20,6 @@ from scipy.special import ndtri
 from scipy.stats import kstest
 
 from momentineq import (
-    BootstrapDraws,
     CriticalValueSpec,
     DegenerateColumnError,
     DesignSpec,
@@ -31,10 +30,7 @@ from momentineq import (
     UndefinedCriticalValueError,
     bmb_test,
     draw_sample,
-    eb_draws,
-    empirical_quantile,
     make_blocks,
-    mb_draws,
     power_sweep,
     run_mc,
     run_test,
@@ -57,6 +53,17 @@ def gauss_sample():
     return rng.normal(size=(50, 3))
 
 
+def columns(x, J=None):
+    """The 0-based columns of the 1-based set ``J``, sorted and once each; all by default."""
+    if J is None:
+        return np.arange(x.shape[1])
+    return np.asarray(sorted(set(J)), dtype=np.intp) - 1
+
+
+# each bootstrap scheme, named by its draws in the test ids
+SCHEMES = pytest.mark.parametrize("scheme", ["MB", "EB"], ids=["mb_draws", "eb_draws"])
+
+
 def decision(x, method, B, stream, alpha=0.05, beta=0.001):
     """``run_test`` of ``method`` on ``stream``: every critical value is read off a decision."""
     return run_test(x, CriticalValueSpec(method, alpha, beta, B), stream=stream)
@@ -74,46 +81,46 @@ class TestDrawEngines:
     def test_single_column_draws_are_standard_normal(self, gauss_sample):
         # conditional on the data the multiplier draw is exactly N(0,1)
         x = gauss_sample[:, :1]
-        d = mb_draws(x, summarize(x), None, 100_000, SeededStream(5))
-        stat = kstest(d.values, "norm").statistic
+        d = bootstrap._values("MB", x, summarize(x), columns(x), 100_000, SeededStream(5))
+        stat = kstest(d, "norm").statistic
         assert stat < 0.01
 
     def test_duplicated_column_leaves_mb_draws_bitwise_identical(self, gauss_sample):
         x = gauss_sample
         xdup = np.hstack([x, x[:, [0]]])
-        a = mb_draws(x, summarize(x), None, 500, SeededStream(3))
-        b = mb_draws(xdup, summarize(xdup), None, 500, SeededStream(3))
-        np.testing.assert_array_equal(a.values, b.values)
+        a = bootstrap._values("MB", x, summarize(x), columns(x), 500, SeededStream(3))
+        b = bootstrap._values("MB", xdup, summarize(xdup), columns(xdup), 500, SeededStream(3))
+        np.testing.assert_array_equal(a, b)
 
     def test_duplicated_column_leaves_eb_draws_bitwise_identical(self, gauss_sample):
         x = gauss_sample
         xdup = np.hstack([x, x[:, [0]]])
-        a = eb_draws(x, summarize(x), None, 500, SeededStream(3))
-        b = eb_draws(xdup, summarize(xdup), None, 500, SeededStream(3))
-        np.testing.assert_array_equal(a.values, b.values)
+        a = bootstrap._values("EB", x, summarize(x), columns(x), 500, SeededStream(3))
+        b = bootstrap._values("EB", xdup, summarize(xdup), columns(xdup), 500, SeededStream(3))
+        np.testing.assert_array_equal(a, b)
 
     def test_empty_set_gives_zero_draws(self, gauss_sample):
         s = summarize(gauss_sample)
-        for fn in (mb_draws, eb_draws):
-            d = fn(gauss_sample, s, [], 200, SeededStream(1))
-            assert d.restricted_to == frozenset()
-            np.testing.assert_array_equal(d.values, np.zeros(200))
+        for scheme in ("MB", "EB"):
+            d = bootstrap._values(scheme, gauss_sample, s, columns(gauss_sample, []), 200,
+                                  SeededStream(1))
+            np.testing.assert_array_equal(d, np.zeros(200))
 
     def test_degenerate_column_raises_with_name(self):
         x = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
         s = summarize(x)
-        for fn in (mb_draws, eb_draws):
+        for scheme in ("MB", "EB"):
             with pytest.raises(DegenerateColumnError, match="2"):
-                fn(x, s, None, 200, SeededStream(1))
+                bootstrap._values(scheme, x, s, columns(x), 200, SeededStream(1))
             # restricting away from the bad column is fine
-            fn(x, s, [1], 200, SeededStream(1))
+            bootstrap._values(scheme, x, s, columns(x, [1]), 200, SeededStream(1))
 
     def test_identical_rows_are_rejected_as_degenerate(self):
         # resampling a constant sample gives zero numerators, but the
         # studentized draw is 0/0: the engine refuses rather than guesses
         x = np.tile([[1.0, -2.0, 3.0]], (6, 1))
         with pytest.raises(DegenerateColumnError):
-            eb_draws(x, summarize(x), None, 200, SeededStream(1))
+            bootstrap._values("EB", x, summarize(x), columns(x), 200, SeededStream(1))
 
     def test_eb_matches_exhaustive_enumeration(self):
         x = np.array([[0.0], [1.5], [3.0]])
@@ -123,17 +130,19 @@ class TestDrawEngines:
             math.sqrt(3) * (np.mean([x[i, 0], x[j, 0], x[k, 0]]) - s.means[0]) / s.sds[0]
             for i, j, k in itertools.product(range(3), repeat=3)
         )
-        d = eb_draws(x, s, None, 20_000, SeededStream(17))
+        d = bootstrap._values("EB", x, s, columns(x), 20_000, SeededStream(17))
         for level in (0.6, 0.9):
             exact = outcomes[math.ceil(level * 27) - 1]
-            assert abs(empirical_quantile(d, level) - exact) <= 0.02
+            assert abs(bootstrap._quantile(d, level) - exact) <= 0.02
 
     def test_restriction_uses_same_replication_randomness(self, gauss_sample):
         s = summarize(gauss_sample)
-        full = mb_draws(gauss_sample, s, None, 300, SeededStream(8))
-        sub = mb_draws(gauss_sample, s, [2], 300, SeededStream(8))
+        full = bootstrap._values("MB", gauss_sample, s, columns(gauss_sample), 300,
+                                 SeededStream(8))
+        sub = bootstrap._values("MB", gauss_sample, s, columns(gauss_sample, [2]), 300,
+                                SeededStream(8))
         # per replication the restricted max can never exceed the full max
-        assert np.all(sub.values <= full.values)
+        assert np.all(sub <= full)
 
 
 class TestSlackColumnFarBelowZero:
@@ -147,11 +156,11 @@ class TestSlackColumnFarBelowZero:
     def test_eb_draws_equal_the_centered_reference(self, x):
         n, B = x.shape[0], 1000
         s = summarize(x)
-        d = eb_draws(x, s, None, B, SeededStream(1))
+        d = bootstrap._values("EB", x, s, columns(x), B, SeededStream(1))
         counts = bootstrap._count_weights(SeededStream(1).generator(), np.empty((B, n)))
         # x - mean is exact here (Sterbenz), so only the product rounds
         reference = (counts @ ((x - s.means) / (math.sqrt(n) * s.sds))).max(axis=1)
-        np.testing.assert_allclose(d.values, reference, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d, reference, rtol=0, atol=1e-12)
 
     def test_eb1_rejects_as_mb1_does(self, x):
         for method in ("mb1", "eb1"):
@@ -191,24 +200,25 @@ class TestChunkedInvariances:
         bootstrap._rowmax_draws(weights, np.ones((self.N, 3)), self.B, SeededStream(1))
         assert heights == [7] * 14 + [2]
 
-    @pytest.mark.parametrize("draws", [mb_draws, eb_draws])
+    @SCHEMES
     @pytest.mark.parametrize("cols", [[0, 1, 2, 3, 4, 0], [3, 0, 4, 1, 2], [4, 4, 2, 2]],
                              ids=["duplicated", "permuted", "doubled-pair"])
-    def test_draws_keep_duplication_and_permutation(self, x, chunk7, draws, cols):
+    def test_draws_keep_duplication_and_permutation(self, x, chunk7, scheme, cols):
         chunk7(self.N)
-        a = draws(x, summarize(x), [j + 1 for j in cols], self.B, SeededStream(4))
+        a = bootstrap._values(scheme, x, summarize(x), columns(x, [j + 1 for j in cols]),
+                              self.B, SeededStream(4))
         y = x[:, cols]
-        b = draws(y, summarize(y), None, self.B, SeededStream(4))
-        assert a.values.tobytes() == b.values.tobytes()
+        b = bootstrap._values(scheme, y, summarize(y), columns(y), self.B, SeededStream(4))
+        assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("draws", [mb_draws, eb_draws])
+    @SCHEMES
     @pytest.mark.parametrize("J", [[2], [1, 4], [2, 3, 5]])
-    def test_draws_keep_restriction(self, x, chunk7, draws, J):
+    def test_draws_keep_restriction(self, x, chunk7, scheme, J):
         chunk7(self.N)
-        a = draws(x, summarize(x), J, self.B, SeededStream(6))
+        a = bootstrap._values(scheme, x, summarize(x), columns(x, J), self.B, SeededStream(6))
         y = x[:, [j - 1 for j in J]]
-        b = draws(y, summarize(y), None, self.B, SeededStream(6))
-        assert a.values.tobytes() == b.values.tobytes()
+        b = bootstrap._values(scheme, y, summarize(y), columns(y), self.B, SeededStream(6))
+        assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("cols, other", [
         ([0], [0, 0]),
@@ -299,27 +309,27 @@ class TestPiecewiseWeights:
         assert a.tobytes() == b.tobytes()
         assert self.state(whole) == self.state(parts)
 
-    @pytest.mark.parametrize("draws", [mb_draws, eb_draws])
-    def test_results_never_alias_the_workspace(self, gauss_sample, draws):
-        s = summarize(gauss_sample)
-        a = draws(gauss_sample, s, None, 300, SeededStream(1))
-        kept = a.values.copy()
-        b = draws(gauss_sample, s, None, 300, SeededStream(2))
-        assert a.values.tobytes() == kept.tobytes()
-        assert not np.shares_memory(a.values, b.values)
+    @SCHEMES
+    def test_results_never_alias_the_workspace(self, gauss_sample, scheme):
+        s, cols0 = summarize(gauss_sample), columns(gauss_sample)
+        a = bootstrap._values(scheme, gauss_sample, s, cols0, 300, SeededStream(1))
+        kept = a.copy()
+        b = bootstrap._values(scheme, gauss_sample, s, cols0, 300, SeededStream(2))
+        assert a.tobytes() == kept.tobytes()
+        assert not np.shares_memory(a, b)
         for buf in vars(bootstrap._workspace).values():
-            assert not np.shares_memory(a.values, buf) and not np.shares_memory(b.values, buf)
+            assert not np.shares_memory(a, buf) and not np.shares_memory(b, buf)
 
-    @pytest.mark.parametrize("draws", [mb_draws, eb_draws])
-    def test_warm_pass_allocates_no_block_sized_buffer(self, draws):
+    @SCHEMES
+    def test_warm_pass_allocates_no_block_sized_buffer(self, scheme):
         B, n = 1000, 400
         x = np.random.default_rng(4).normal(size=(n, 3))
-        s = summarize(x)
-        draws(x, s, None, B, SeededStream(1))  # sizes this thread's workspace
+        s, cols0 = summarize(x), columns(x)
+        bootstrap._values(scheme, x, s, cols0, B, SeededStream(1))  # sizes this thread's workspace
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            draws(x, s, None, B, SeededStream(2))
+            bootstrap._values(scheme, x, s, cols0, B, SeededStream(2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -441,27 +451,29 @@ class TestHeldBlock:
             monkeypatch.setattr(bootstrap, "_CHUNK_SCALARS", chunk)
         x = np.random.default_rng(13).normal(size=(60, 5))
         s, plan, S, T = summarize(x), make_blocks(60, 5, 2), SeededStream(14), SeededStream(15)
-        for draws in (mb_draws, eb_draws):
-            first = draws(x, s, None, 100, S).values
+        every, some = columns(x), columns(x, [2, 4])
+        for scheme in ("MB", "EB"):
+            first = bootstrap._values(scheme, x, s, every, 100, S)
             bmb = bmb_test(x, plan, 0.05, 1000, T)
-            second = draws(x, s, [2, 4], 100, S).values
-            assert first.tobytes() == on_fresh_thread(draws, x, s, None, 100, S).values.tobytes()
+            second = bootstrap._values(scheme, x, s, some, 100, S)
+            assert first.tobytes() == on_fresh_thread(
+                bootstrap._values, scheme, x, s, every, 100, S).tobytes()
             assert bmb == on_fresh_thread(bmb_test, x, plan, 0.05, 1000, T)
             assert second.tobytes() == on_fresh_thread(
-                draws, x, s, [2, 4], 100, S).values.tobytes()
+                bootstrap._values, scheme, x, s, some, 100, S).tobytes()
 
     @pytest.mark.parametrize("first, second", [
-        ((mb_draws, 60, 100, 18), (mb_draws, 60, 100, 19)),
-        ((mb_draws, 60, 100, 18), (eb_draws, 60, 100, 18)),
-        ((mb_draws, 60, 100, 18), (mb_draws, 60, 200, 18)),
-        ((eb_draws, 60, 100, 18), (eb_draws, 30, 100, 18)),
+        (("MB", 60, 100, 18), ("MB", 60, 100, 19)),
+        (("MB", 60, 100, 18), ("EB", 60, 100, 18)),
+        (("MB", 60, 100, 18), ("MB", 60, 200, 18)),
+        (("EB", 60, 100, 18), ("EB", 30, 100, 18)),
     ], ids=["stream", "builder", "B", "rows"])
     def test_a_block_differing_in_one_part_matches_a_fresh_thread(self, first, second):
         x = np.random.default_rng(17).normal(size=(60, 4))
 
-        def run(draws, n, B, seed):
+        def run(scheme, n, B, seed):
             y = x[:n]
-            return draws(y, summarize(y), None, B, SeededStream(seed)).values
+            return bootstrap._values(scheme, y, summarize(y), columns(y), B, SeededStream(seed))
 
         run(*first)
         assert run(*second).tobytes() == on_fresh_thread(run, *second).tobytes()
@@ -600,17 +612,18 @@ class TestPassPool:
         # six callers on three shares each, switching threads as often as possible
         monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 3)
         x = np.random.default_rng(5).normal(size=(200, 200))
-        s = summarize(x)
-        lone = {(draws, seed): on_fresh_thread(draws, x, s, None, 500, SeededStream(seed)).values
-                for draws in (mb_draws, eb_draws) for seed in range(6)}
+        s, cols0 = summarize(x), columns(x)
+        lone = {(scheme, seed): on_fresh_thread(bootstrap._values, scheme, x, s, cols0, 500,
+                                                SeededStream(seed))
+                for scheme in ("MB", "EB") for seed in range(6)}
         bad = []
 
         def caller(seed):
             for _ in range(4):
-                for draws in (mb_draws, eb_draws):
-                    got = draws(x, s, None, 500, SeededStream(seed)).values
-                    if got.tobytes() != lone[draws, seed].tobytes():
-                        bad.append((draws.__name__, seed))
+                for scheme in ("MB", "EB"):
+                    got = bootstrap._values(scheme, x, s, cols0, 500, SeededStream(seed))
+                    if got.tobytes() != lone[scheme, seed].tobytes():
+                        bad.append((scheme, seed))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -669,33 +682,32 @@ class TestPassPool:
 
 
 class TestEmpiricalQuantile:
+    """``_quantile``, the left-continuous empirical quantile behind every bootstrap cutoff."""
+
     def test_order_statistic_examples(self):
-        d = BootstrapDraws(values=np.array([1.0, 2.0, 3.0, 4.0]), restricted_to=frozenset())
-        assert empirical_quantile(d, 0.5) == 2.0
-        assert empirical_quantile(d, 0.95) == 4.0
+        d = np.array([1.0, 2.0, 3.0, 4.0])
+        assert bootstrap._quantile(d, 0.5) == 2.0
+        assert bootstrap._quantile(d, 0.95) == 4.0
 
     def test_all_zero_draws(self):
-        d = BootstrapDraws(values=np.zeros(100), restricted_to=frozenset())
-        assert empirical_quantile(d, 0.37) == 0.0
+        assert bootstrap._quantile(np.zeros(100), 0.37) == 0.0
 
     def test_level_domain(self):
-        d = BootstrapDraws(values=np.arange(10.0), restricted_to=frozenset())
+        d = np.arange(10.0)
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
-                empirical_quantile(d, bad)
+                bootstrap._quantile(d, bad)
 
     def test_float_excess_does_not_skip_an_order_statistic(self):
         # 0.95 * 1000 is a hair above 950 in binary; the guard keeps k at 950
-        d = BootstrapDraws(
-            values=np.arange(1.0, 1001.0), restricted_to=frozenset()
-        )
-        assert empirical_quantile(d, 0.95) == 950.0
-        assert empirical_quantile(d, 0.952) == 952.0
+        d = np.arange(1.0, 1001.0)
+        assert bootstrap._quantile(d, 0.95) == 950.0
+        assert bootstrap._quantile(d, 0.952) == 952.0
 
     def test_monotone_in_level(self):
         rng = np.random.default_rng(0)
-        d = BootstrapDraws(values=rng.normal(size=997), restricted_to=frozenset())
-        qs = [empirical_quantile(d, lv) for lv in np.linspace(0.01, 0.99, 33)]
+        d = rng.normal(size=997)
+        qs = [bootstrap._quantile(d, lv) for lv in np.linspace(0.01, 0.99, 33)]
         assert all(a <= b for a, b in zip(qs, qs[1:]))
 
 
@@ -776,8 +788,9 @@ class TestFloatRange:
 class TestSelection:
     def test_rule_matches_recomputed_threshold(self, gauss_sample):
         s = summarize(gauss_sample)
-        d = mb_draws(gauss_sample, s, None, 500, SeededStream(31).child("MB"))
-        c_beta = empirical_quantile(d, 1 - 0.01)
+        d = bootstrap._values("MB", gauss_sample, s, columns(gauss_sample), 500,
+                              SeededStream(31).child("MB"))
+        c_beta = bootstrap._quantile(d, 1 - 0.01)
         assert selected(gauss_sample, "mb2", 500, SeededStream(31), beta=0.01) == \
             threshold_select(s, -2.0 * c_beta)
 
@@ -906,10 +919,11 @@ class TestRunTest:
 class TestMethodTable:
     """``run_test`` runs each method on the draws and levels its definition names.
 
-    The reference rebuilds every critical value from the public draw
-    engines, all on the scheme's child of the test's stream (``MB`` or
-    ``EB``): selection draws at level ``1 - beta``, cutoff draws at level
-    ``1 - alpha + m beta``, and the analytic formula for the SN scheme.
+    The reference rebuilds every critical value from the draws of one pass
+    (``bootstrap._values``) and their quantile, all on the scheme's child of
+    the test's stream (``MB`` or ``EB``): selection draws at level
+    ``1 - beta``, cutoff draws at level ``1 - alpha + m beta``, and the
+    analytic formula for the SN scheme.
     """
 
     ALPHA, BETA, B = 0.05, 0.004, 300
@@ -924,18 +938,18 @@ class TestMethodTable:
         if method == "sn2":
             kept = sn_select(s, beta)
             return sn_one_step(alpha - 2 * beta, len(kept), s.n), kept
-        draws = mb_draws if "mb" in method else eb_draws
-        stream = stream.child("MB" if "mb" in method else "EB")
+        scheme = "MB" if "mb" in method else "EB"
+        stream = stream.child(scheme)
         if method.endswith("1"):
-            crit = draws(x, s, None, B, stream)
-            return empirical_quantile(crit, 1 - alpha), everything
+            crit = bootstrap._values(scheme, x, s, columns(x), B, stream)
+            return bootstrap._quantile(crit, 1 - alpha), everything
         if method.endswith("2"):
-            sel = draws(x, s, None, B, stream)
-            kept = threshold_select(s, -2.0 * empirical_quantile(sel, 1 - beta))
+            sel = bootstrap._values(scheme, x, s, columns(x), B, stream)
+            kept = threshold_select(s, -2.0 * bootstrap._quantile(sel, 1 - beta))
         else:
             kept = sn_select(s, beta)
-        crit = draws(x, s, kept, B, stream)
-        return empirical_quantile(crit, 1 - alpha + 2 * beta), kept
+        crit = bootstrap._values(scheme, x, s, columns(x, kept), B, stream)
+        return bootstrap._quantile(crit, 1 - alpha + 2 * beta), kept
 
     @pytest.mark.parametrize(
         "method", ["sn1", "sn2", "mb1", "mb2", "eb1", "eb2", "hyb-mb", "hyb-eb"]
@@ -975,8 +989,7 @@ class TestRunTests:
 
     @staticmethod
     def all_columns(x, scheme, B, stream):
-        draws = mb_draws if scheme == "MB" else eb_draws
-        return draws(x, summarize(x), None, B, stream.child(scheme)).values
+        return bootstrap._values(scheme, x, summarize(x), columns(x), B, stream.child(scheme))
 
     def test_analytic_and_hybrid_decide_as_run_test(self, x):
         rep = SeededStream(5).child("mc", 0)

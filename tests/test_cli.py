@@ -328,8 +328,9 @@ class TestCmdMc:
             outs.append(out.read_text())
             used.append(json.loads((tmp_path / f"{name}.json").read_text())["threads"])
         assert outs[0] == outs[1] == outs[2]
-        # the sidecar records the count that ran: every usable core by default
-        assert used[:2] == [1, 3]
+        # the sidecar records the count that ran, at most the usable cores:
+        # every usable core by default
+        assert used[:2] == [1, min(3, bootstrap._PASS_WORKERS)]
         assert type(used[2]) is int and used[2] == min(bootstrap._PASS_WORKERS, 16)
 
     def test_zero_sims_is_usage_error(self, tmp_path, capsys):
@@ -431,6 +432,15 @@ class TestCmdInvert:
                      "--out", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"momentineq: input error: {gdir / 'grid.csv'}: not utf-8 text")
+
+    def test_repeated_label_is_input_error(self, tmp_path, capsys):
+        gdir = self.make_grid(tmp_path, np.arange(10.0), [0.0])
+        (gdir / "grid.csv").write_text("t0,0.0\nt0,1.0\n")
+        out = tmp_path / "r.csv"
+        assert main(["invert", "--grid", str(gdir), "--method", "sn1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "momentineq: input error: grid label 't0' is repeated\n")
+        assert not out.exists()
 
     def test_inconsistent_n_is_input_error(self, tmp_path, capsys):
         gdir = tmp_path / "grid"

@@ -18,15 +18,12 @@ from momentineq import (
     as_sample_matrix,
     bmb_test,
     default_block_lengths,
-    eb_draws,
     exceeds,
     make_blocks,
-    mb_draws,
     power_sweep,
     regularity_diagnostics,
     run_test,
     sn_one_step,
-    standard_normal_draws,
     studentized_scores,
     summarize,
 )
@@ -386,6 +383,7 @@ class TestCriticalValueSpec:
 
 
 _X = np.random.default_rng(5).normal(size=(40, 3))
+_PLAN = make_blocks(40, 3, 1)
 
 
 class TestIntegerSettings:
@@ -397,12 +395,10 @@ class TestIntegerSettings:
         lambda: ThreeStepConfig(alpha=0.05, replications=500.5),
         lambda: McConfig(sims=5, bootstrap_reps=100.5),
         lambda: McConfig(sims=5, seed=2.5),
-        lambda: bmb_test(_X, make_blocks(40, 3, 1), 0.05, 1000.7, SeededStream(1)),
-        lambda: mb_draws(_X, summarize(_X), None, 150.9, SeededStream(1)),
-        lambda: eb_draws(_X, summarize(_X), None, 150.9, SeededStream(1)),
+        lambda: bmb_test(_X, _PLAN, 0.05, 1000.7, SeededStream(1)),
         lambda: SeededStream(1.5),
     ], ids=["spec-B", "spec-B-whole", "spec-seed", "threestep-B", "mc-B", "mc-seed",
-            "bmb-B", "mb-draws-B", "eb-draws-B", "stream-seed"])
+            "bmb-B", "stream-seed"])
     def test_non_integer_is_refused(self, make):
         with pytest.raises(ValueError, match="integer"):
             make()
@@ -410,10 +406,10 @@ class TestIntegerSettings:
     def test_numpy_integers_pass(self):
         spec = CriticalValueSpec("mb1", replications=np.int64(300), seed=np.uint64(3))
         assert run_test(_X, spec) == run_test(_X, CriticalValueSpec("mb1", replications=300, seed=3))
-        assert mb_draws(_X, summarize(_X), None, np.int32(150), SeededStream(1)).values.shape == (150,)
+        bmb = bmb_test(_X, _PLAN, 0.05, np.int32(150), SeededStream(1))
+        assert bmb == bmb_test(_X, _PLAN, 0.05, 150, SeededStream(1))
 
 
-_S = summarize(_X)
 _MC = McConfig(sims=1, methods=("sn1",))
 
 # (id, call with the count put in, the argument its message names, least, below)
@@ -422,7 +418,6 @@ COUNTS = [
     ("spec-seed", lambda v: CriticalValueSpec("mb1", seed=v), "seed", 0, 2 ** 64),
     ("stream-seed", lambda v: SeededStream(v), "master_seed", 0, 2 ** 64),
     ("stream-index", lambda v: SeededStream(1).child("a", v), "path index", 0, 2 ** 63),
-    ("normal-count", lambda v: standard_normal_draws(SeededStream(1), v), "count", 1, 2 ** 63),
     ("design", lambda v: DesignSpec(v, 40, 3, 0.0, "t4"), "design", 1, 9),
     ("design-n", lambda v: DesignSpec(1, v, 3, 0.0, "t4"), "n", 2, 2 ** 63),
     ("design-p", lambda v: DesignSpec(1, 40, v, 0.0, "t4"), "p", 1, 2 ** 63),
@@ -436,9 +431,10 @@ COUNTS = [
     ("default-blocks-n", lambda v: default_block_lengths(v), "n", 1, 2 ** 63),
     ("sn-p", lambda v: sn_one_step(0.05, v, 400), "p", 1, 2 ** 63),
     ("sn-n", lambda v: sn_one_step(0.05, 3, v), "n", 2, 2 ** 63),
-    ("mb-B", lambda v: mb_draws(_X, _S, None, v, SeededStream(1)), "B", 1, 2 ** 63),
-    ("eb-B", lambda v: eb_draws(_X, _S, None, v, SeededStream(1)), "B", 1, 2 ** 63),
-    ("mb-column", lambda v: mb_draws(_X, _S, [v], 100, SeededStream(1)), "column", 1, 4),
+    ("bmb-B", lambda v: bmb_test(_X, _PLAN, 0.05, v, SeededStream(1)), "replications", 100,
+     2 ** 63),
+    ("threestep-eb-B", lambda v: ThreeStepConfig(alpha=0.05, scheme="EB", replications=v),
+     "replications", 100, 2 ** 63),
 ]
 
 
@@ -457,11 +453,9 @@ def bad_counts(least, below, none_ok):
 
 
 class TestCountContract:
-    # every count, seed, stream path index and column number goes through one check
+    # every count, seed and stream path index goes through one check
     @pytest.mark.parametrize("make, name", [
         (lambda: make_blocks(300, 5.9, 2), "q"),
-        (lambda: mb_draws(_X, _S, [1.7], 100, SeededStream(1)), "column"),
-        (lambda: standard_normal_draws(SeededStream(1), 2.5), "count"),
         (lambda: sn_one_step(0.05, 2.5, 400), "p"),
         (lambda: McConfig(sims=True), "sims"),
         (lambda: CriticalValueSpec("mb1", seed=True), "seed"),
@@ -470,9 +464,8 @@ class TestCountContract:
         (lambda: McConfig(sims=1, threads=1.5), "threads"),
         (lambda: default_block_lengths(-8), "n"),
         (lambda: sn_one_step(0.05, 10 ** 400, 400), "p"),
-    ], ids=["blocks-q-float", "column-float", "count-float", "sn-p-float", "sims-bool",
-            "seed-bool", "sweep-n-float", "sims-float", "threads-float", "blocks-n-negative",
-            "sn-p-huge"])
+    ], ids=["blocks-q-float", "sn-p-float", "sims-bool", "seed-bool", "sweep-n-float",
+            "sims-float", "threads-float", "blocks-n-negative", "sn-p-huge"])
     def test_named_error_where_a_count_was_truncated_or_crashed(self, make, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             make()

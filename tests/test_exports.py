@@ -45,9 +45,9 @@ PUBLIC = {
     "as_sample_matrix", "exceeds", "regularity_diagnostics", "studentized_scores",
     "summarize", "test_statistic",
     "DegenerateColumnError", "GridPointError", "InputError", "UndefinedCriticalValueError",
-    "SeededStream", "standard_normal_draws",
+    "SeededStream",
     "sn_one_step", "sn_select",
-    "BootstrapDraws", "eb_draws", "empirical_quantile", "mb_draws", "run_test", "run_tests",
+    "run_test", "run_tests",
     "ParametricMomentData", "ThreeStepConfig", "three_step_test",
     "BlockPlan", "bmb_test", "default_block_lengths", "make_blocks",
     "ApproxSample", "ConfidenceRegion", "GridPoint", "approximate_two_step_test",
@@ -95,6 +95,13 @@ DELETED = [
     "_scaled_columns",
     "normal_cdf",
     "normal_quantile",
+    "BootstrapDraws",
+    "mb_draws",
+    "eb_draws",
+    "empirical_quantile",
+    "standard_normal_draws",
+    "_draws",
+    "_columns_mask",
 ]
 
 
@@ -114,6 +121,20 @@ def test_deleted_names_are_gone():
             if attr in getattr(owner, "__all__", ()) or hasattr(owner, attr)
         ]
     assert left == []
+
+
+def test_readme_imports_only_public_names():
+    # every ``from momentineq import ...`` in README's python blocks names an exported name
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [block.split("\n", 1)[1] for block in readme.split("```")[1::2]
+              if block.startswith("python\n")]
+    imported = [
+        alias.name for block in blocks for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "momentineq"
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name not in momentineq.__all__] == []
 
 
 def package_sources():

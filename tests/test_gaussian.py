@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from momentineq import SeededStream, standard_normal_draws
+from momentineq import SeededStream
 from momentineq.gaussian import open_uniform
 
 mp.mp.dps = 40
@@ -56,8 +56,8 @@ class TestNormalQuantile:
 
 class TestSeededStream:
     def test_identical_streams_give_identical_draws(self):
-        a = standard_normal_draws(SeededStream(9, (("rep", 3),)), 1000)
-        b = standard_normal_draws(SeededStream(9, (("rep", 3),)), 1000)
+        a = ndtri(open_uniform(SeededStream(9, (("rep", 3),)).generator(), 1000))
+        b = ndtri(open_uniform(SeededStream(9, (("rep", 3),)).generator(), 1000))
         np.testing.assert_array_equal(a, b)
 
     def test_child_paths_compose(self):
@@ -83,27 +83,25 @@ class TestSeededStream:
 
     def test_sibling_paths_differ(self):
         root = SeededStream(123)
-        a = standard_normal_draws(root.child("rep", 0), 64)
-        b = standard_normal_draws(root.child("rep", 1), 64)
-        c = standard_normal_draws(root.child("crit", 0), 64)
+        a = ndtri(open_uniform(root.child("rep", 0).generator(), 64))
+        b = ndtri(open_uniform(root.child("rep", 1).generator(), 64))
+        c = ndtri(open_uniform(root.child("crit", 0).generator(), 64))
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
 
 class TestStandardNormalDraws:
-    def test_count_must_be_positive(self):
-        with pytest.raises(ValueError):
-            standard_normal_draws(SeededStream(1), 0)
+    """Normal draws by inversion, ``ndtri`` of open-interval uniforms, as the multipliers are."""
 
     def test_moments_at_one_million_draws(self):
-        z = standard_normal_draws(SeededStream(2024), 1_000_000)
+        z = ndtri(open_uniform(SeededStream(2024).generator(), 1_000_000))
         assert abs(z.mean()) <= 4.0 / np.sqrt(1_000_000)
         assert abs(z.var() - 1.0) <= 0.01
 
     def test_disjoint_paths_uncorrelated(self):
         root = SeededStream(77)
-        a = standard_normal_draws(root.child("left"), 100_000)
-        b = standard_normal_draws(root.child("right"), 100_000)
+        a = ndtri(open_uniform(root.child("left").generator(), 100_000))
+        b = ndtri(open_uniform(root.child("right").generator(), 100_000))
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.02
 

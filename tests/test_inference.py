@@ -74,6 +74,13 @@ class TestInvertRegion:
         with pytest.raises(InputError, match="disagree"):
             invert_region([a, b], CriticalValueSpec("sn1"))
 
+    def test_repeated_label_is_refused(self):
+        x = np.random.default_rng(3).normal(size=(10, 1))
+        grid = [GridPoint("a", (0.0,), x + 5.0), GridPoint("b", (0.5,), x),
+                GridPoint("a", (1.0,), x - 5.0)]
+        with pytest.raises(InputError, match="grid label 'a' is repeated"):
+            invert_region(grid, CriticalValueSpec("sn1"))
+
     def test_failing_point_is_named(self):
         bad = np.ones((10, 2))
         bad[:, 1] = np.arange(10)

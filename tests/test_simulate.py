@@ -389,7 +389,8 @@ class TestDefaultThreads:
         assert len(seen) == sims and set(seen) == {threading.get_ident()}
 
     @pytest.mark.parametrize("threads, cores, sims, workers", [
-        (None, 2, 8, 2), (None, 4, 3, 3), (None, 1, 8, 1), (3, 2, 1, 3), (1, 4, 8, 1),
+        (None, 2, 8, 2), (None, 4, 3, 3), (None, 1, 8, 1), (3, 2, 1, 1), (1, 4, 8, 1),
+        (1000, 2, 1000, 2),  # resolved only: no run starts that many threads
     ])
     def test_resolved_worker_count(self, monkeypatch, threads, cores, sims, workers):
         monkeypatch.setattr(bootstrap, "_PASS_WORKERS", cores)
