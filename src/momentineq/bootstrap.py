@@ -43,25 +43,34 @@ pool of their own, by default one thread per core; passes on its threads,
 which already fill the cores, do not split.  A pass on any other thread
 splits: a lone test's, or one of a serial Monte Carlo run (``threads=1``).
 
+Precision: MB and EB passes run in single precision.  Their target is
+built in float64 from the scaled moments and rounded to float32 once (see
+:func:`_target`); the weight block, the products and the draws follow the
+target's dtype, so a cutoff sits about 1e-6 relative from a float64
+product's.  The block multiplier bootstrap passes a float64 target and keeps
+double precision.
+
 Memory: every bootstrap pass builds its ``k x n`` weight block (multipliers
 or resampling counts) in a workspace of the calling thread, and each share
 takes the ``k x 64`` product of each of its column blocks in a workspace of
-the thread that runs it.  The calling thread reuses both in its next pass,
-so a warm pass that does not split maps no fresh pages; a thread started
-for a share ends with its run of blocks, and its product workspace with it.
-The weight block is bounded by ``_CHUNK_SCALARS`` scalars (one row when a
-row alone is larger).  A pass splits its column blocks into no more shares
-than keep its products within ``_CHUNK_SCALARS`` scalars together; one
-share always runs, and its product is ``64 / n`` times the weight block.  A
-thread keeps workspaces of at most ``_CHUNK_SCALARS`` scalars until it ends
-(a larger block lives for its pass only).  They never leave this module,
-and every array returned to a caller is its own.  A weight block that is
-one chunk is kept past its pass: until the thread's next pass with another
-``(stream, builder, B, rows)`` overwrites it, a pass with the same four (the
-cutoff over a two-step selection, a shifted sample of the same replication)
-takes its products from the kept block (see :func:`_rowmax_draws`).  A
-block is a function of those four alone, so no bit moves, and no memory is
-added.
+the thread that runs it.  A workspace is one run of bytes per name, viewed
+in the pass's dtype, so a float32 block takes half a float64 one's bytes: at
+``B = 1000``, ``n = 400`` the weight block drops from 3.2 to 1.6 MB.  The
+calling thread reuses both in its next pass, so a warm pass that does not
+split maps no fresh pages; a thread started for a share ends with its run of
+blocks, and its product workspace with it.  The weight block is bounded by
+``_CHUNK_SCALARS`` scalars (one row when a row alone is larger).  A pass
+splits its column blocks into no more shares than keep its products within
+``_CHUNK_SCALARS`` scalars together; one share always runs, and its product
+is ``64 / n`` times the weight block.  A thread keeps workspaces of at most
+``_CHUNK_SCALARS`` float64 scalars' bytes until it ends (a larger block
+lives for its pass only).  They never leave this module, and every array
+returned to a caller is its own.  A weight block that is one chunk is kept
+past its pass: until the thread's next pass with another ``(stream, builder,
+B, rows, dtype)`` overwrites it, a pass with the same five (the cutoff over
+a two-step selection, a shifted sample of the same replication) takes its
+products from the kept block (see :func:`_rowmax_draws`).  A block is a
+function of those five alone, so no bit moves, and no memory is added.
 """
 
 from __future__ import annotations
@@ -120,12 +129,13 @@ _COL_BLOCK = 64
 _PIECE_SCALARS = 32_768
 
 # Per-thread workspaces of the draw loop (see _buffer): the weight block and
-# the per-block product.  Threads of a pool never share one.
+# the per-block product, as raw bytes viewed in the pass's dtype.  Threads of
+# a pool never share one.
 _workspace = threading.local()
 
 # Per thread, which block the "weights" workspace holds: the (stream,
-# builder, B, rows) of the last one-chunk pass, or None.  It sits outside
-# _workspace, which holds arrays only.
+# builder, B, rows, dtype) of the last one-chunk pass, or None.  It sits
+# outside _workspace, which holds arrays only.
 _held = threading.local()
 
 # The usable cores.  A pass splits its column blocks into up to this many
@@ -236,33 +246,42 @@ def _on_shares(tasks) -> list:
     return [first] + [f.result() for f in futures]
 
 
-def _buffer(name: str, shape) -> np.ndarray:
-    """This thread's float64 workspace ``name``, viewed as ``shape``.
+def _buffer(name: str, shape, dtype) -> np.ndarray:
+    """This thread's workspace ``name``, viewed as a ``dtype`` array of ``shape``.
 
-    The buffer grows to the largest shape asked for, up to ``_CHUNK_SCALARS``
-    scalars, and is then reused, so a pass writes into pages already mapped
+    The workspace is one run of bytes per name, whatever the dtype.  It grows
+    to the largest block asked for, up to ``_CHUNK_SCALARS`` float64 scalars'
+    bytes, and is then reused, so a pass writes into pages already mapped
     instead of faulting in fresh ones; a larger block is a fresh array.
     """
-    size = math.prod(shape)
-    if size > _CHUNK_SCALARS:
-        return np.empty(shape)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes > _CHUNK_SCALARS * 8:
+        return np.empty(shape, dtype)
     buf = getattr(_workspace, name, None)
-    if buf is None or buf.size < size:
-        buf = np.empty(size)
+    if buf is None or buf.nbytes < nbytes:
+        buf = np.empty(nbytes, np.uint8)
         setattr(_workspace, name, buf)
-    return buf[:size].reshape(shape)
+    return buf[:nbytes].view(dtype).reshape(shape)
 
 
 def _block_run_rowmax(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Row max of ``weights @ g`` in fixed-width column blocks, on this thread."""
+    """Row max of ``weights @ g`` in fixed-width column blocks, on this thread.
+
+    The product, the padded tail block and the row maxima take ``g``'s dtype,
+    and the tail block is laid out as ``g``'s blocks are, column-major when
+    its columns are contiguous: at short chunk heights OpenBLAS picks its
+    kernel by the operands' memory order, so a column's bits in the tail
+    equal its bits in a full block only when both are laid out alike.
+    """
     n, c = g.shape
-    prod = _buffer("prod", (weights.shape[0], _COL_BLOCK))
+    prod = _buffer("prod", (weights.shape[0], _COL_BLOCK), g.dtype)
     out = None
     for s in range(0, c, _COL_BLOCK):
         block = g[:, s:s + _COL_BLOCK]
         w = block.shape[1]
         if w < _COL_BLOCK:
-            padded = np.zeros((n, _COL_BLOCK))
+            order = "F" if g.strides[0] < g.strides[1] else "C"
+            padded = np.zeros((n, _COL_BLOCK), g.dtype, order=order)
             padded[:, :w] = block
             block = padded
         np.matmul(weights, block, out=prod)
@@ -303,7 +322,8 @@ def _normal_weights(gen, out: np.ndarray) -> np.ndarray:
 
     The block fills on the calling thread, piece by piece in row-major
     order, so it draws the bits of one ``open_uniform`` call over ``out``
-    and leaves ``gen`` where that call would.
+    and leaves ``gen`` where that call would.  ``ndtri`` runs in double
+    precision and each multiplier is rounded once into ``out``'s dtype.
     """
     for piece in _row_pieces(out):
         ndtri(open_uniform(gen, piece.shape), out=piece)
@@ -311,7 +331,10 @@ def _normal_weights(gen, out: np.ndarray) -> np.ndarray:
 
 
 def _count_weights(gen, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (replications x rows) with resampling counts: how often each row is drawn."""
+    """Fill ``out`` (replications x rows) with resampling counts: how often each row is drawn.
+
+    A count is an integer of at most ``rows``, exact in ``out``'s dtype.
+    """
     rows = out.shape[1]
     for piece in _row_pieces(out):
         idx = gen.integers(0, rows, size=piece.shape)
@@ -321,10 +344,11 @@ def _count_weights(gen, out: np.ndarray) -> np.ndarray:
 
 
 def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream) -> np.ndarray:
-    """``B`` draws of the row max of ``weights(gen, block) @ target``.
+    """``B`` draws of the row max of ``weights(gen, block) @ target``, in ``target``'s dtype.
 
     The one draw loop of every bootstrap: MB and EB differ only in
-    ``weights``, and take the same ``target``.  Its chunk height ``k`` depends
+    ``weights``, and take the same ``target``.  The weight block and the
+    products take the target's dtype too.  Its chunk height ``k`` depends
     only on the row count and ``B``, never on the columns, so the column
     invariances hold bit for bit; the BLAS kernel may depend on ``k``, so
     chunked draws can differ from unchunked ones in the last bits.  The pass
@@ -337,40 +361,52 @@ def _rowmax_draws(weights, target: np.ndarray, B: int, stream: SeededStream) -> 
     consume the generator in the block's row-major order, piece by piece, so
     pieces draw the same bits as one call over the whole block.
 
-    A block is a function of ``(stream, weights, B, rows)`` alone.  When the
-    whole block is one chunk (``B * rows <= _CHUNK_SCALARS``) the loop
-    records that tuple, and the next pass with an equal tuple on this thread
-    uses the workspace as it stands instead of building it again: the
+    A block is a function of ``(stream, weights, B, rows, dtype)`` alone.
+    When the whole block is one chunk (``B * rows <= _CHUNK_SCALARS``) the
+    loop records that tuple, and the next pass with an equal tuple on this
+    thread uses the workspace as it stands instead of building it again: the
     selection pass and the cutoff pass of a two-step test, or the shifted
     samples of one replication.  Each pass opens a fresh generator on its
     stream, so skipping a build moves no bit.  Every other pass clears the
     record before it writes, and nothing else asks for the workspace.
     """
-    rows = target.shape[0]
-    key = (stream, weights, B, rows) if B * rows <= _CHUNK_SCALARS else None
+    rows, dtype = target.shape[0], target.dtype
+    key = (stream, weights, B, rows, dtype) if B * rows <= _CHUNK_SCALARS else None
     with _one_blas_thread:
         if key is not None and key == getattr(_held, "block", None):
-            return _blocked_rowmax(_buffer("weights", (B, rows)), target)
+            return _blocked_rowmax(_buffer("weights", (B, rows), dtype), target)
         _held.block = None
         gen = stream.generator()
-        out = np.empty(B)
+        out = np.empty(B, dtype)
         step = max(1, min(B, _CHUNK_SCALARS // max(rows, 1)))
         for start in range(0, B, step):
             stop = min(start + step, B)
-            block = weights(gen, _buffer("weights", (stop - start, rows)))
+            block = weights(gen, _buffer("weights", (stop - start, rows), dtype))
             out[start:stop] = _blocked_rowmax(block, target)
     _held.block = key
     return out
 
 
-def _mb_values(x, s: MomentSummary, cols0, B, stream) -> np.ndarray:
+def _target(x, s: MomentSummary, cols0) -> np.ndarray:
+    """The studentized columns ``cols0`` that MB and EB weight, rounded once to float32.
+
+    They are built in float64 from the scaled moments, so no deviation
+    overflows, and every entry lies in [-1, 1] (a column's squares sum to
+    1), so the rounding cannot overflow; it moves a cutoff by about 1e-6
+    relative.  The pass follows this dtype: this is where MB and EB choose
+    single precision.  The target is column-major, one column included, so
+    every product block and the padded tail share one layout.
+    """
     g = _studentized_columns(x, s, cols0, math.sqrt(x.shape[0]))
-    return _rowmax_draws(_normal_weights, g, B, stream)
+    return g.astype(np.float32, order="F")
+
+
+def _mb_values(x, s: MomentSummary, cols0, B, stream) -> np.ndarray:
+    return _rowmax_draws(_normal_weights, _target(x, s, cols0), B, stream)
 
 
 def _eb_values(x, s: MomentSummary, cols0, B, stream) -> np.ndarray:
-    g = _studentized_columns(x, s, cols0, math.sqrt(x.shape[0]))
-    return _rowmax_draws(_count_weights, g, B, stream)
+    return _rowmax_draws(_count_weights, _target(x, s, cols0), B, stream)
 
 
 def _values(scheme, x, s: MomentSummary, cols0, B, stream) -> np.ndarray:

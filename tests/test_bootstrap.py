@@ -41,7 +41,7 @@ from momentineq import (
     three_step_test,
 )
 from momentineq import bootstrap
-from momentineq.core import METHODS
+from momentineq.core import METHODS, studentized_scores
 from momentineq.gaussian import open_uniform
 from momentineq.sn import threshold_select
 from score_samples import sample_with_scores
@@ -157,9 +157,13 @@ class TestSlackColumnFarBelowZero:
         n, B = x.shape[0], 1000
         s = summarize(x)
         d = bootstrap._values("EB", x, s, columns(x), B, SeededStream(1))
-        counts = bootstrap._count_weights(SeededStream(1).generator(), np.empty((B, n)))
-        # x - mean is exact here (Sterbenz), so only the product rounds
-        reference = (counts @ ((x - s.means) / (math.sqrt(n) * s.sds))).max(axis=1)
+        counts = bootstrap._count_weights(SeededStream(1).generator(),
+                                          np.empty((B, n), np.float32))
+        # x - mean is exact here (Sterbenz), so the centered target rounds
+        # only into the pass's single precision, and then only the product
+        target = ((x - s.means) / (math.sqrt(n) * s.sds)).astype(np.float32)
+        with bootstrap._one_blas_thread:
+            reference = bootstrap._blocked_rowmax(counts, target)
         np.testing.assert_allclose(d, reference, rtol=0, atol=1e-12)
 
     def test_eb1_rejects_as_mb1_does(self, x):
@@ -220,6 +224,25 @@ class TestChunkedInvariances:
         b = bootstrap._values(scheme, y, summarize(y), columns(y), self.B, SeededStream(6))
         assert a.tobytes() == b.tobytes()
 
+    @SCHEMES
+    @pytest.mark.parametrize("case", ["duplicated", "permuted"])
+    def test_a_column_in_the_padded_tail_draws_as_in_a_full_block(self, chunk7, scheme, case):
+        # 64 columns fill one product block and a 65th sits alone in the
+        # zero-padded tail; the tail must run the full block's kernel, in the
+        # target's dtype.  Every other column is near the negative of column
+        # 7, so column 7 holds the row max in about half the replications.
+        chunk7(self.N)
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(self.N, 65)) + 0.1
+        x[:, np.arange(65) != 7] = -x[:, [7]] + 0.3 * rng.normal(size=(self.N, 64))
+        if case == "duplicated":
+            x, y = x[:, :64], x[:, list(range(64)) + [7]]
+        else:
+            y = x[:, list(range(7)) + [64] + list(range(8, 64)) + [7]]
+        a = bootstrap._values(scheme, x, summarize(x), columns(x), self.B, SeededStream(4))
+        b = bootstrap._values(scheme, y, summarize(y), columns(y), self.B, SeededStream(4))
+        assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("cols, other", [
         ([0], [0, 0]),
         ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 2]),
@@ -258,26 +281,44 @@ class TestPiecewiseWeights:
         flat = (idx + (np.arange(k) * rows)[:, None]).ravel()
         return np.bincount(flat, minlength=k * rows).reshape(k, rows).astype(np.float64)
 
-    @pytest.mark.parametrize("scheme", ["MB", "EB"])
-    @pytest.mark.parametrize("piece, k, rows", [
+    PIECES = pytest.mark.parametrize("piece, k, rows", [
         (10, 9, 4),       # two rows a piece, the last piece one row: a split mid-block
         (10, 5, 25),      # a row longer than a piece: one row a piece
         (10, 12, 1),      # one-row samples: ten replications a piece
         (10, 1, 3),       # one replication, less than a piece
         (32_768, 200, 400),  # the default piece: pieces of 81, 81 and 38 rows
     ], ids=["split", "long-rows", "one-row", "one-replication", "default"])
-    def test_pieces_draw_the_bits_of_one_call(self, monkeypatch, scheme, piece, k, rows):
+
+    def built(self, monkeypatch, scheme, piece, k, rows, dtype):
+        """``(block, reference)``: the builder's ``k x rows`` block in ``dtype``, and one call's."""
         monkeypatch.setattr(bootstrap, "_PIECE_SCALARS", piece)
         build, reference = {
             "MB": (bootstrap._normal_weights, self.mb_reference),
             "EB": (bootstrap._count_weights, self.eb_reference),
         }[scheme]
         gen, ref_gen = SeededStream(31).generator(), SeededStream(31).generator()
-        out = np.full((k, rows), np.nan)
+        out = np.full((k, rows), np.nan, dtype)
         assert build(gen, out) is out
-        assert out.tobytes() == reference(ref_gen, k, rows).tobytes()
+        ref = reference(ref_gen, k, rows)
         assert self.state(gen) == self.state(ref_gen)
         assert gen.bit_generator.random_raw() == ref_gen.bit_generator.random_raw()
+        return out, ref
+
+    @pytest.mark.parametrize("scheme", ["MB", "EB"])
+    @PIECES
+    def test_pieces_draw_the_bits_of_one_call(self, monkeypatch, scheme, piece, k, rows):
+        out, ref = self.built(monkeypatch, scheme, piece, k, rows, np.float64)
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["MB", "EB"])
+    @PIECES
+    def test_single_precision_pieces_round_the_bits_of_one_call(self, monkeypatch, scheme,
+                                                                piece, k, rows):
+        # multipliers come from ndtri in double, rounded once; counts are exact
+        out, ref = self.built(monkeypatch, scheme, piece, k, rows, np.float32)
+        assert out.tobytes() == ref.astype(np.float32).tobytes()
+        if scheme == "EB":
+            assert out.astype(np.float64).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("taken", [0, 1, 6], ids=["fresh", "odd-half-word", "mid-buffer"])
     def test_runs_on_three_shares_draw_the_bits_of_one_call(self, monkeypatch, taken):
@@ -333,7 +374,8 @@ class TestPiecewiseWeights:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - base < B * n * 8
+        # the block is float32: a fresh one would take B * n * 4 bytes
+        assert peak - base < B * n * 4
 
     def test_workspaces_keep_at_most_a_chunk(self):
         # 42 block rows: a chunk of 95,238 replications fills a 32 MB weight
@@ -477,6 +519,22 @@ class TestHeldBlock:
 
         run(*first)
         assert run(*second).tobytes() == on_fresh_thread(run, *second).tobytes()
+
+    @pytest.mark.parametrize("dtypes", [(np.float64, np.float32), (np.float32, np.float64)],
+                             ids=["float64-then-float32", "float32-then-float64"])
+    def test_blocks_differing_only_in_dtype_match_a_fresh_thread(self, dtypes):
+        # one stream, builder, B and row count: a double block read back as a
+        # single one (or the reverse) would be garbage
+        g = np.random.default_rng(19).normal(size=(60, 5)) / math.sqrt(60)
+
+        def run(dtype):
+            return bootstrap._rowmax_draws(bootstrap._normal_weights, g.astype(dtype), 100,
+                                           SeededStream(20))
+
+        for dtype in dtypes:
+            got = run(dtype)
+            assert got.dtype == dtype
+            assert got.tobytes() == on_fresh_thread(run, dtype).tobytes()
 
     def test_nothing_is_kept_when_a_row_exceeds_the_chunk(self, monkeypatch, builds):
         x, stream, B = sparse_sample(n=50, p=10), SeededStream(16), 100
@@ -783,6 +841,113 @@ class TestFloatRange:
             margin = 1e-12 * max(abs(a.statistic), abs(a.critical_value))
             if abs(a.statistic - a.critical_value) > margin:
                 assert b.reject == a.reject
+
+
+def oracle_draws(x, scheme, cols0, B, stream):
+    """``B`` draws of ``scheme`` over ``cols0``, all in float64: the pass's weights, its own target.
+
+    The weights are those of a pass on ``stream``, built in one call; the
+    target is the centered, studentized columns ``(x - mean) / (sqrt(n) sd)``
+    taken directly, so ``x`` must be of moderate scale.
+    """
+    n = x.shape[0]
+    gen = stream.generator()
+    if scheme == "MB":
+        w = TestPiecewiseWeights.mb_reference(gen, B, n)
+    else:
+        w = TestPiecewiseWeights.eb_reference(gen, B, n)
+    z = x[:, cols0]
+    return (w @ ((z - z.mean(axis=0)) / (math.sqrt(n) * z.std(axis=0)))).max(axis=1)
+
+
+def close_to_oracle(got, oracle):
+    return abs(got - oracle) <= 1e-5 * abs(oracle)
+
+
+class TestSinglePrecisionOracle:
+    """MB and EB passes run in float32; each cutoff stays within 1e-5 relative of a float64 oracle.
+
+    The oracle draws the same weights on the same streams and takes its
+    product in double precision.  Selections are compared whole, and the
+    samples are also run with their columns scaled by ``2^900`` and
+    ``2^-900`` in turn, against the oracle of the unscaled sample.
+    """
+
+    ALPHA, BETA, B, SEED = 0.05, 0.001, 1000, 21
+
+    @pytest.fixture(scope="class", params=["sparse", "t4-wide"])
+    def x(self, request):
+        if request.param == "sparse":
+            return sparse_sample()
+        x = np.random.default_rng(22).standard_t(4, size=(400, 130))
+        x[:, 10:] -= 0.5
+        return x
+
+    @staticmethod
+    def scaled(x):
+        return x * np.where(np.arange(x.shape[1]) % 2, 2.0 ** 900, 2.0 ** -900)
+
+    def oracle(self, x, method):
+        """``(selected, cutoff)`` of ``method`` on ``x``, from float64 draws."""
+        rule, p = METHODS[method], x.shape[1]
+        stream = SeededStream(self.SEED).child(rule.scheme)
+        every = oracle_draws(x, rule.scheme, np.arange(p), self.B, stream)
+        if rule.selection is None:
+            kept = frozenset(range(1, p + 1))
+        elif rule.selection == "sn":
+            kept = sn_select(summarize(x), self.BETA)
+        else:
+            kept = threshold_select(summarize(x), -2.0 * bootstrap._quantile(every, 1.0 - self.BETA))
+        draws = every if len(kept) == p else oracle_draws(
+            x, rule.scheme, columns(x, kept), self.B, stream)
+        return kept, bootstrap._quantile(draws, 1.0 - self.ALPHA + rule.m * self.BETA)
+
+    @pytest.mark.parametrize("scale", [False, True], ids=["unit", "2^+-900"])
+    @pytest.mark.parametrize("method", ["mb1", "eb1", "mb2", "eb2", "hyb-mb", "hyb-eb"])
+    def test_cutoffs_lie_within_1e5_of_the_float64_oracle(self, x, method, scale):
+        kept, cutoff = self.oracle(x, method)
+        spec = CriticalValueSpec(method, self.ALPHA, self.BETA, self.B, self.SEED)
+        d = run_test(self.scaled(x) if scale else x, spec)
+        assert frozenset(d.selected) == kept
+        assert close_to_oracle(d.critical_value, cutoff)
+        if METHODS[method].selection == "boot":
+            assert 0 < len(kept) < x.shape[1]
+
+    @pytest.mark.parametrize("scale", [False, True], ids=["unit", "2^+-900"])
+    @pytest.mark.parametrize("scheme", ["MB", "EB"])
+    def test_three_step_gradient_selection_matches_the_float64_oracle(self, scheme, scale):
+        rng = np.random.default_rng(24)
+        g, v = sparse_sample(n=200, p=8, seed=25), rng.normal(size=(200, 8, 2))
+        v[:, 5:, :] -= 0.4
+        cfg = ThreeStepConfig(alpha=self.ALPHA, beta=self.BETA, scheme=scheme,
+                              replications=self.B, seed=self.SEED)
+        n, flat = g.shape[0], v.reshape(200, 16)
+        stream = SeededStream(self.SEED)
+        levels = 1.0 - (self.BETA + cfg.resolve_phi(n)), 1.0 - (self.BETA - cfg.resolve_phi(n))
+        # the gradient thresholds, single against double
+        ours = bootstrap._values(scheme, flat, summarize(flat), np.arange(16), self.B,
+                                 stream.child("grad-select"))
+        oracle = oracle_draws(flat, scheme, np.arange(16), self.B, stream.child("grad-select"))
+        c_plus, c_minus = (bootstrap._quantile(oracle, level) for level in levels)
+        for level, c in zip(levels, (c_plus, c_minus)):
+            assert close_to_oracle(bootstrap._quantile(ours, level), c)
+        # the three sets and the cutoff, from the oracle's thresholds
+        scores = studentized_scores(summarize(flat)).reshape(8, 2)
+        j_prime = frozenset(int(j) + 1 for j in np.flatnonzero((scores > -c_plus).all(axis=1)))
+        j_dprime = frozenset(
+            int(j) + 1 for j in np.flatnonzero((scores > -3.0 * c_minus).all(axis=1)))
+        every = oracle_draws(g, scheme, np.arange(8), self.B, stream.child(scheme))
+        j_hat = threshold_select(summarize(g), -2.0 * bootstrap._quantile(every, 1.0 - self.BETA))
+        cut = j_hat & j_dprime
+        cutoff = bootstrap._quantile(oracle_draws(g, scheme, columns(g, cut), self.B,
+                                                  stream.child(scheme)),
+                                     1.0 - self.ALPHA + 4 * self.BETA)
+        if scale:
+            g, v = self.scaled(g), v * np.array([2.0 ** 900, 2.0 ** -900])
+        d = three_step_test(ParametricMomentData(g=g, v=v), cfg)
+        assert d.sets == (j_hat, j_prime, j_dprime)
+        assert 0 < len(j_prime) < 8 and 0 < len(cut) < 8
+        assert close_to_oracle(d.critical_value, cutoff)
 
 
 class TestSelection:

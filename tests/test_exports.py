@@ -244,9 +244,32 @@ def test_both_schemes_and_the_diagnostics_build_one_studentized_target():
                 if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == (
                         "_studentized_columns"):
                     callers.add((path.stem, owner.get(id(node), "<module>")))
-    assert callers == {
-        ("bootstrap", "_mb_values"), ("bootstrap", "_eb_values"), ("core", "_diagnostics"),
-    }
+    assert callers == {("bootstrap", "_target"), ("core", "_diagnostics")}
+
+
+def test_single_precision_is_chosen_only_by_the_mb_eb_target():
+    # every MB and EB pass follows its target's dtype, so this is the one
+    # place the precision is chosen; the block multiplier bootstrap builds
+    # its own float64 target and stays in double precision by construction
+    spellings = {"float32", "single", "f4", "<f4", "=f4"}
+    namers = []
+    for path, tree, owner in package_sources():
+        docstrings = {
+            id(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and id(node) not in docstrings:
+                name = node.value
+            else:
+                continue
+            if name in spellings:
+                namers.append((path.stem, owner.get(id(node), "<module>")))
+    assert namers == [("bootstrap", "_target")]
 
 
 def test_no_bootstrap_function_takes_a_shift():
