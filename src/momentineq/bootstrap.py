@@ -70,7 +70,9 @@ past its pass: until the thread's next pass with another ``(stream, builder,
 B, rows, dtype)`` overwrites it, a pass with the same five (the cutoff over
 a two-step selection, a shifted sample of the same replication) takes its
 products from the kept block (see :func:`_rowmax_draws`).  A block is a
-function of those five alone, so no bit moves, and no memory is added.
+function of those five alone, so no bit moves, and no memory is added.  The
+float32 target is filled 256 columns at a time (see :func:`_target`), so
+beyond itself it holds one float64 block of the sample's rows.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ from .core import (
     MomentSummary,
     Rule,
     TestDecision,
+    _column_blocks,
     _diagnostics,
     _studentized_columns,
     as_sample_matrix,
@@ -99,7 +102,7 @@ from .core import (
     summarize,
 )
 from .errors import DegenerateColumnError
-from .gaussian import SeededStream, open_uniform
+from .gaussian import SeededStream, _row_pieces, open_uniform
 from .sn import _sn_from_tail, sn_select, threshold_select
 
 __all__ = [
@@ -121,12 +124,6 @@ _CHUNK_SCALARS = 4_000_000
 # the exact invariants (duplication, permutation, restriction to a subset)
 # rely on bit for bit.
 _COL_BLOCK = 64
-
-# The weight builders fill a block in runs of whole rows of about this many
-# scalars, so their temporaries stay small.  Philox yields one output per
-# uniform, and bounded integers keep their spare 32-bit half-word in the bit
-# generator, so the piece boundaries move no bit.
-_PIECE_SCALARS = 32_768
 
 # Per-thread workspaces of the draw loop (see _buffer): the weight block and
 # the per-block product, as raw bytes viewed in the pass's dtype.  Threads of
@@ -311,12 +308,6 @@ def _blocked_rowmax(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_pieces(out: np.ndarray):
-    """``out`` in runs of whole rows of about ``_PIECE_SCALARS`` scalars (one row at least)."""
-    step = max(1, _PIECE_SCALARS // out.shape[1])
-    return (out[s:s + step] for s in range(0, out.shape[0], step))
-
-
 def _normal_weights(gen, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (replications x rows) with i.i.d. N(0,1) multipliers, one per row.
 
@@ -395,10 +386,14 @@ def _target(x, s: MomentSummary, cols0) -> np.ndarray:
     1), so the rounding cannot overflow; it moves a cutoff by about 1e-6
     relative.  The pass follows this dtype: this is where MB and EB choose
     single precision.  The target is column-major, one column included, so
-    every product block and the padded tail share one layout.
+    every product block and the padded tail share one layout.  It is filled
+    one column block at a time, so the float64 columns never exist whole.
     """
-    g = _studentized_columns(x, s, cols0, math.sqrt(x.shape[0]))
-    return g.astype(np.float32, order="F")
+    n = x.shape[0]
+    g = np.empty((n, cols0.size), np.float32, order="F")
+    for a, b in _column_blocks(cols0.size):
+        g[:, a:b] = _studentized_columns(x, s, cols0[a:b], math.sqrt(n))
+    return g
 
 
 def _mb_values(x, s: MomentSummary, cols0, B, stream) -> np.ndarray:

@@ -105,6 +105,17 @@ def check_sizes(alpha, beta=None, *, cap=None, replications=100, seed=0):
     check_count("seed", seed, least=0, below=2 ** 64)
 
 
+# Passes over every entry of a sample (the finiteness check, the summary,
+# the diagnostics, the bootstrap target) read it this many columns at a
+# time, so their temporaries are n x 256 whatever p is.
+_BLOCK_COLUMNS = 256
+
+
+def _column_blocks(p: int):
+    """``(a, b)`` bounds of the ``_BLOCK_COLUMNS``-wide column blocks of ``p`` columns."""
+    return ((a, min(a + _BLOCK_COLUMNS, p)) for a in range(0, p, _BLOCK_COLUMNS))
+
+
 def as_sample_matrix(data) -> np.ndarray:
     """Validate and return data as an ``n x p`` float matrix.
 
@@ -120,7 +131,7 @@ def as_sample_matrix(data) -> np.ndarray:
         raise InputError(f"need at least 2 observations, got n={n}")
     if p < 1:
         raise InputError("need at least one column")
-    if not np.isfinite(x).all():
+    if not all(np.isfinite(x[:, a:b]).all() for a, b in _column_blocks(p)):
         bad = np.argwhere(~np.isfinite(x))[0]
         raise InputError(
             f"non-finite entry at row {bad[0] + 1}, column {bad[1] + 1}"
@@ -183,14 +194,19 @@ def summarize(sample, centers=None) -> MomentSummary:
     if centers is not None:
         bound = np.maximum(bound, np.abs(centers))
     e = np.frexp(bound)[1]
-    # Column-major layout makes each column's reduction a contiguous pairwise
-    # sum that depends only on its own entries, so a column's summary is
-    # bit-identical wherever the column sits and whatever sits next to it.
-    xs = np.ldexp(x, -e, order="F")
-    ms = xs.mean(axis=0) if centers is None else np.ldexp(centers, -e)
-    xs -= ms
-    xs *= xs
-    ss = np.sqrt(xs.mean(axis=0))
+    ms = np.empty(x.shape[1]) if centers is None else np.ldexp(centers, -e)
+    ss = np.empty(x.shape[1])
+    for a, b in _column_blocks(x.shape[1]):
+        # Column-major layout makes each column's reduction a contiguous
+        # pairwise sum that depends only on its own entries, so a column's
+        # summary is bit-identical wherever the column sits and whatever sits
+        # next to it, in whichever block.
+        xs = np.ldexp(x[:, a:b], -e[a:b], order="F")
+        if centers is None:
+            xs.mean(axis=0, out=ms[a:b])
+        xs -= ms[a:b]
+        xs *= xs
+        np.sqrt(xs.mean(axis=0, out=ss[a:b]), out=ss[a:b])
     if centers is None:
         # A literally constant column must come out exactly (mean c, sd 0);
         # the centered two-pass formula can leave rounding residue there.
@@ -276,12 +292,19 @@ def regularity_diagnostics(sample) -> RegularityDiagnostics:
 
 def _diagnostics(x: np.ndarray, s: MomentSummary) -> RegularityDiagnostics:
     """The diagnostics of a validated sample ``x`` from its summary ``s`` (no degenerate column)."""
-    z = _studentized_columns(x, s, np.arange(s.p), 1.0)
-    z2 = z * z
-    m3 = float(np.mean(np.abs(z) ** 3, axis=0).max() ** (1 / 3))
-    m4 = float(np.mean(z2 * z2, axis=0).max() ** 0.25)
-    bn = float(np.mean((z2 * z2).max(axis=1)) ** 0.25)
-    return RegularityDiagnostics(m3=m3, m4=m4, bn=bn)
+    # per-column maxima and each row's max over every column, carried from
+    # block to block; a max is exact, so the blocks move no bit
+    m3 = m4 = 0.0
+    rowmax = np.zeros(x.shape[0])
+    for a, b in _column_blocks(s.p):
+        z = _studentized_columns(x, s, np.arange(a, b), 1.0)
+        m3 = max(m3, np.mean(np.abs(z) ** 3, axis=0).max())
+        z *= z
+        z *= z
+        m4 = max(m4, np.mean(z, axis=0).max())
+        np.maximum(rowmax, z.max(axis=1), out=rowmax)
+    return RegularityDiagnostics(m3=float(m3 ** (1 / 3)), m4=float(m4 ** 0.25),
+                                 bn=float(np.mean(rowmax) ** 0.25))
 
 
 @dataclass(frozen=True)

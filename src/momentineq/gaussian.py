@@ -7,6 +7,12 @@ independent streams and results never depend on wall clock, call order, or
 thread identity.  The package's normal variates are ``ndtri`` of
 :func:`open_uniform` draws (inversion), which keeps consumption patterns, and
 therefore reproducibility, independent of the values drawn.
+
+Each uniform takes exactly one 64-bit Philox output, and Philox makes four
+outputs per counter step.  So the ``k``-th uniform of a stream is reached
+without drawing the ones before it (:func:`_placed`: ``advance(k // 4)``,
+then ``k % 4`` raw outputs), and a block drawn in runs of whole rows
+(:func:`_row_pieces`) holds the bits of one call over the block.
 """
 
 from __future__ import annotations
@@ -23,6 +29,13 @@ __all__ = [
 ]
 
 _U53 = 0.5 ** 53  # spacing of the open-interval uniform grid
+
+# Draws fill a block in runs of whole rows of about this many scalars, so
+# their temporaries stay small: the bootstrap weight builders and the design
+# samples alike.  Philox yields one output per uniform, and bounded integers
+# keep their spare 32-bit half-word in the bit generator, so the piece
+# boundaries move no bit.
+_PIECE_SCALARS = 32_768
 
 
 @dataclass(frozen=True)
@@ -87,3 +100,20 @@ def open_uniform(gen: np.random.Generator, size) -> np.ndarray:
     u *= _U53
     return u
 
+
+def _row_pieces(out: np.ndarray):
+    """``out`` in runs of whole rows of about ``_PIECE_SCALARS`` scalars (one row at least)."""
+    step = max(1, _PIECE_SCALARS // out.shape[1])
+    return (out[s:s + step] for s in range(0, out.shape[0], step))
+
+
+def _placed(stream: SeededStream, offset: int) -> np.random.Generator:
+    """A fresh generator on ``stream`` whose next uniform is the stream's ``offset``-th (from 0).
+
+    Exact because :func:`open_uniform` takes one Philox output per value,
+    and ``advance`` moves the counter by whole steps of four outputs.
+    """
+    gen = stream.generator()
+    gen.bit_generator.advance(offset // 4)
+    gen.bit_generator.random_raw(offset % 4)
+    return gen

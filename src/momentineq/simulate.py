@@ -11,6 +11,16 @@ degrees of freedom scaled to unit variance, or uniform on
 on a process's first AR draw and not with the package, since
 ``scipy.signal`` loads ``scipy.stats`` and costs most of an import.
 
+A sample is written one slab of whole rows at a time, each slab about
+``_PIECE_SCALARS`` values (one row when a row is longer), so a draw holds
+a few slabs of temporaries beyond the sample.  Every step runs on whole
+rows in the order of the plain expressions over the whole matrix (the
+equicorrelation row sum and the AR filter need the whole row), so the bits
+are theirs.  A t4 draw reads three ``n x p`` uniform arrays, which sit at
+offsets ``0``, ``n p`` and ``2 n p`` of the sample's stream: one generator
+is placed at each (see :func:`~momentineq.gaussian._placed`), and each
+continues from slab to slab.
+
 ``run_mc`` estimates rejection rates over independent replications, one
 substream per replication, so results do not depend on execution order or
 the thread count.  By default (``McConfig.threads`` is ``None``) the
@@ -34,7 +44,7 @@ from scipy.special import ndtri
 from . import bootstrap
 from .bootstrap import _keep_passes_whole, run_tests
 from .core import CriticalValueSpec, check_count, check_sizes
-from .gaussian import SeededStream, open_uniform
+from .gaussian import SeededStream, _placed, _row_pieces, open_uniform
 
 __all__ = [
     "DesignSpec",
@@ -92,15 +102,15 @@ class DesignSpec:
         return mu
 
 
-def _innovations(gen, n: int, p: int, dist: str) -> np.ndarray:
-    """Unit-variance i.i.d. innovations by inversion from open-interval uniforms.
+def _innovations(gens, shape, dist: str) -> np.ndarray:
+    """One slab of unit-variance i.i.d. innovations by inversion from open-interval uniforms.
 
+    ``gens`` holds one generator per uniform array the law reads (three for
+    t4, one otherwise), each placed where its array starts in the slab.
     Each step runs in place on the arrays ``open_uniform`` returns, in the
     order of the plain expressions, so the bits are theirs.
     """
-    if dist not in ("normal", "t4", "uniform"):
-        raise ValueError(f"unknown innovation law {dist!r}")
-    z = open_uniform(gen, (n, p))
+    z = open_uniform(gens[0], shape)
     if dist == "uniform":
         z *= 2.0
         z -= 1.0
@@ -111,15 +121,29 @@ def _innovations(gen, n: int, p: int, dist: str) -> np.ndarray:
         return z
     # chi^2 with 4 df as the sum of two exponentials; t(4)/sqrt(2) then has
     # variance one: sqrt(2) z / sqrt(-2 (log u + log w)).
-    v = open_uniform(gen, (n, p))
+    v = open_uniform(gens[1], shape)
     np.log(v, out=v)
-    w = open_uniform(gen, (n, p))
+    w = open_uniform(gens[2], shape)
     v += np.log(w, out=w)
     v *= -2.0
     np.sqrt(v, out=v)
     z *= math.sqrt(2.0)
     z /= v
     return z
+
+
+def _slabs(stream: SeededStream, out: np.ndarray, dist: str):
+    """``(slab, innovations)`` for each slab of whole rows of ``out``, top to bottom.
+
+    Row ``i`` of the ``n x p`` innovations is the one a single draw over the
+    whole matrix gives: the uniform arrays start at offsets ``0``, ``n p``
+    and ``2 n p`` of ``stream`` (one generator placed at each), and each
+    continues from slab to slab.  A slab is ``_PIECE_SCALARS`` scalars, or
+    one row when a row is longer, so the caller's temporaries stay that size.
+    """
+    gens = [_placed(stream, k * out.size) for k in range(3 if dist == "t4" else 1)]
+    for slab in _row_pieces(out):
+        yield slab, _innovations(gens, slab.shape, dist)
 
 
 def _apply_equi(eps: np.ndarray, rho: float) -> np.ndarray:
@@ -145,15 +169,13 @@ def _apply_ar(eps: np.ndarray, rho: float) -> np.ndarray:
 
 
 def draw_sample(spec: DesignSpec, stream: SeededStream) -> np.ndarray:
-    """One ``n x p`` sample from the design, fully determined by the stream."""
-    gen = stream.generator()
-    eps = _innovations(gen, spec.n, spec.p, spec.dist)
-    if spec.structure == "EQUI":
-        y = _apply_equi(eps, spec.rho)
-    else:
-        y = _apply_ar(eps, spec.rho)
-    y += spec.mean_vector()
-    return y
+    """One ``n x p`` sample from the design, fully determined by the stream, slab by slab."""
+    apply = _apply_equi if spec.structure == "EQUI" else _apply_ar
+    mu = spec.mean_vector()
+    out = np.empty((spec.n, spec.p))
+    for slab, eps in _slabs(stream, out, spec.dist):
+        np.add(apply(eps, spec.rho), mu, out=slab)
+    return out
 
 
 @dataclass(frozen=True)
@@ -313,8 +335,9 @@ def power_sweep(n: int, p: int, rho: float, r_values, mc: McConfig) -> PowerCurv
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
 
     def shifted(rep):
-        eps = _innovations(rep.generator(), n, p, "normal")
-        base = _apply_equi(eps, rho) if rho > 0 else eps
+        base = np.empty((n, p))
+        for slab, eps in _slabs(rep, base, "normal"):
+            slab[...] = _apply_equi(eps, rho) if rho > 0 else eps
         return (base + r for r in r_values)
 
     # the reshape keeps the (r, method) shape when r_values is empty

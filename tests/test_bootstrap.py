@@ -40,7 +40,7 @@ from momentineq import (
     summarize,
     three_step_test,
 )
-from momentineq import bootstrap
+from momentineq import bootstrap, gaussian
 from momentineq.core import METHODS, studentized_scores
 from momentineq.gaussian import open_uniform
 from momentineq.sn import threshold_select
@@ -291,7 +291,7 @@ class TestPiecewiseWeights:
 
     def built(self, monkeypatch, scheme, piece, k, rows, dtype):
         """``(block, reference)``: the builder's ``k x rows`` block in ``dtype``, and one call's."""
-        monkeypatch.setattr(bootstrap, "_PIECE_SCALARS", piece)
+        monkeypatch.setattr(gaussian, "_PIECE_SCALARS", piece)
         build, reference = {
             "MB": (bootstrap._normal_weights, self.mb_reference),
             "EB": (bootstrap._count_weights, self.eb_reference),
@@ -326,7 +326,7 @@ class TestPiecewiseWeights:
         # fill stays on the calling thread whatever the worker count, and
         # takes up a generator whose float32 draws left a spare 32-bit
         # half-word (1) or stand mid-way in Philox's four outputs (6)
-        monkeypatch.setattr(bootstrap, "_PIECE_SCALARS", 10)
+        monkeypatch.setattr(gaussian, "_PIECE_SCALARS", 10)
         monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 3)
         for build, reference in ((bootstrap._normal_weights, self.mb_reference),
                                  (bootstrap._count_weights, self.eb_reference)):

@@ -1,6 +1,8 @@
 """Summaries, the max statistic, the zero-variance convention, and diagnostics."""
 
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from momentineq import (
     summarize,
 )
 from momentineq import test_statistic as max_statistic
-from momentineq import core
+from momentineq import bootstrap, core
 from momentineq.errors import DegenerateColumnError, UndefinedCriticalValueError
 
 
@@ -345,6 +347,126 @@ class TestDiagnostics:
         x = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
         with pytest.raises(DegenerateColumnError, match="column"):
             regularity_diagnostics(x)
+
+
+def traced_peak(fn):
+    """``(fn(), peak bytes traced above the start while fn ran)``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
+
+
+def whole_summary(x, centers=None):
+    """``(ms, ss, e)`` of :func:`summarize`, from the whole column-major matrix at once."""
+    hi, lo = x.max(axis=0), x.min(axis=0)
+    bound = np.maximum(hi, -lo)
+    if centers is not None:
+        bound = np.maximum(bound, np.abs(centers))
+    e = np.frexp(bound)[1]
+    xs = np.ldexp(x, -e, order="F")
+    ms = xs.mean(axis=0) if centers is None else np.ldexp(centers, -e)
+    xs -= ms
+    xs *= xs
+    ss = np.sqrt(xs.mean(axis=0))
+    if centers is None:
+        constant = hi == lo
+        ms = np.where(constant, np.ldexp(x[0], -e), ms)
+        ss = np.where(constant, 0.0, ss)
+    return ms, ss, e
+
+
+def whole_diagnostics(x, s):
+    """The diagnostics' expressions over all studentized columns at once."""
+    z = core._studentized_columns(x, s, np.arange(s.p), 1.0)
+    z2 = z * z
+    m3 = float(np.mean(np.abs(z) ** 3, axis=0).max() ** (1 / 3))
+    m4 = float(np.mean(z2 * z2, axis=0).max() ** 0.25)
+    bn = float(np.mean((z2 * z2).max(axis=1)) ** 0.25)
+    return core.RegularityDiagnostics(m3=m3, m4=m4, bn=bn)
+
+
+class TestColumnBlocks:
+    """Every pass over a sample reads it 256 columns at a time, with the bits of the whole matrix."""
+
+    WIDTHS = pytest.mark.parametrize("p", [1, 255, 256, 257, 513])
+
+    @staticmethod
+    def sample(n, p, seed=0):
+        """Heavy-tailed columns scaled by powers of two up to 2^+-900, the first constant."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_t(4, size=(n, p)) + rng.normal(size=p)
+        x *= np.ldexp(1.0, rng.integers(-900, 901, size=p))
+        if p > 1:
+            x[:, 0] = -3.5
+        return x
+
+    @WIDTHS
+    def test_summary_matches_the_whole_matrix_bitwise(self, p):
+        x = self.sample(40, p)
+        centers = np.random.default_rng(1).normal(size=p)
+        for c in (None, centers):
+            s = summarize(x, c)
+            for got, want in zip((s.ms, s.ss, s.e), whole_summary(x, c), strict=True):
+                assert got.tobytes() == want.tobytes()
+
+    @WIDTHS
+    def test_diagnostics_match_the_whole_matrix_bitwise(self, p):
+        x = self.sample(40, p, seed=2)
+        x[:, 0] = np.arange(40.0)
+        s = summarize(x)
+        assert core._diagnostics(x, s) == whole_diagnostics(x, s)
+
+    @WIDTHS
+    def test_target_matches_the_whole_matrix_bitwise(self, p):
+        x = self.sample(40, p, seed=3)
+        x[:, 0] = np.arange(40.0)
+        s = summarize(x)
+        for cols0 in (np.arange(p), np.random.default_rng(4).permutation(p)[:(p + 1) // 2]):
+            g = bootstrap._target(x, s, cols0)
+            want = core._studentized_columns(x, s, cols0, math.sqrt(40)).astype(
+                np.float32, order="F")
+            assert g.flags.f_contiguous and g.dtype == np.float32
+            assert g.tobytes(order="F") == want.tobytes(order="F")
+
+    def test_first_non_finite_entry_in_row_order_across_blocks(self):
+        x = np.zeros((9, 600))
+        x[7, 3] = np.nan
+        x[4, 300] = -np.inf  # an earlier row, in the second block
+        x[4, 520] = np.inf
+        with pytest.raises(InputError, match="row 5, column 301"):
+            as_sample_matrix(x)
+
+    # n = 256 rows and p = 8192 columns: the sample is 16 MB, a block 0.5 MB
+    N, P = 256, 8192
+
+    def block_bytes(self):
+        return self.N * core._BLOCK_COLUMNS * 8
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        x = np.random.default_rng(5).normal(size=(self.N, self.P))
+        return x, summarize(x)
+
+    def test_finiteness_check_holds_a_block_of_flags(self, wide):
+        _, peak = traced_peak(lambda: as_sample_matrix(wide[0]))
+        assert peak <= 4 * self.N * core._BLOCK_COLUMNS
+
+    def test_summary_holds_a_block_and_vectors_of_p(self, wide):
+        _, peak = traced_peak(lambda: summarize(wide[0]))
+        assert peak <= 2 * self.block_bytes() + 24 * self.P * 8
+
+    def test_diagnostics_hold_a_few_blocks_and_vectors_of_p(self, wide):
+        _, peak = traced_peak(lambda: core._diagnostics(*wide))
+        assert peak <= 5 * self.block_bytes() + 8 * self.P * 8
+
+    def test_target_holds_its_result_and_one_block(self, wide):
+        g, peak = traced_peak(lambda: bootstrap._target(*wide, np.arange(self.P)))
+        assert peak <= g.nbytes + 2 * self.block_bytes()
 
 
 class TestCriticalValueSpec:

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtri
 
 from momentineq import SeededStream
-from momentineq.gaussian import open_uniform
+from momentineq.gaussian import _placed, open_uniform
 
 mp.mp.dps = 40
 
@@ -138,3 +138,23 @@ class TestAhead:
         parts = [open_uniform(gen, size) for size in (taken, count, 9)]
         whole = open_uniform(stream.generator(), taken + count + 9)
         assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+class TestPlaced:
+    """A placed generator draws what a generator drained of ``offset`` outputs draws next.
+
+    Philox makes four outputs per counter step, so the offsets take every
+    remainder mod 4, at the start and far into the stream.
+    """
+
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 5, 6, 7, 10 ** 6, 10 ** 6 + 1,
+                                        10 ** 6 + 2, 10 ** 6 + 3])
+    def test_continues_where_a_drained_generator_does(self, offset):
+        stream = SeededStream(4, (("mc", 2),))
+        drained = stream.generator()
+        drained.bit_generator.random_raw(offset)
+        placed = _placed(stream, offset)
+        for size in (1, 6, 9):
+            assert open_uniform(placed, size).tobytes() == open_uniform(drained, size).tobytes()
+        assert placed.bit_generator.random_raw(5).tolist() == drained.bit_generator.random_raw(
+            5).tolist()

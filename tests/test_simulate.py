@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from momentineq import (
     run_mc,
     run_test,
 )
-from momentineq import bootstrap, core, simulate
+from momentineq import bootstrap, core, gaussian, simulate
 from momentineq.gaussian import open_uniform
-from momentineq.simulate import _apply_ar, _apply_equi, _innovations
+from momentineq.simulate import _apply_ar, _apply_equi, _slabs
 
 
 def sigma_for(p, rho, structure):
@@ -31,6 +32,20 @@ def sigma_for(p, rho, structure):
         return s
     idx = np.arange(p)
     return rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+def slab_filled(stream, shape, dist):
+    """The innovations that ``_slabs`` yields slab by slab, written into one matrix."""
+    out = np.empty(shape)
+    for slab, eps in _slabs(stream, out, dist):
+        slab[...] = eps
+    return out
+
+
+# piece sizes; for a 70 x 33 draw: a row longer than a piece (one row a
+# slab), 132 scalars (four-row slabs and a short last one of two rows), and
+# the default (one slab)
+PIECES = (10, 132, 32_768)
 
 
 def applied_factor(p, rho, structure):
@@ -72,30 +87,32 @@ class TestCovarianceFactor:
 class TestInnovations:
     @pytest.mark.parametrize("dist", ["t4", "uniform", "normal"])
     def test_unit_variance_at_one_million_draws(self, dist):
-        gen = SeededStream(42).child(dist).generator()
-        e = _innovations(gen, 1000, 1000, dist)
+        e = slab_filled(SeededStream(42).child(dist), (1000, 1000), dist)
         assert abs(e.var() - 1.0) <= 0.01
         assert abs(e.mean()) <= 0.005
 
     def test_uniform_support(self):
-        gen = SeededStream(1).generator()
-        e = _innovations(gen, 100, 100, "uniform")
+        e = slab_filled(SeededStream(1), (100, 100), "uniform")
         assert e.min() > -np.sqrt(3) and e.max() < np.sqrt(3)
 
     def test_t4_heavy_tails(self):
-        gen = SeededStream(2).generator()
-        e = _innovations(gen, 1000, 200, "t4")
+        e = slab_filled(SeededStream(2), (1000, 200), "t4")
         # normalized t(4) exceeds 3 far more often than a normal would
         assert (np.abs(e) > 3.0).mean() > 0.005
 
-    @pytest.mark.parametrize("shape", [(400, 1000), (400, 200), (7, 3)])
-    def test_t4_matches_the_closed_form_bitwise(self, shape):
+    # at the default piece, (400, 1000) and (400, 200) take thirteen and
+    # three slabs, the last short, and a row of (3, 40000) is longer than a
+    # piece, so each row is a slab; the smaller pieces split (7, 3) too
+    @pytest.mark.parametrize("shape", [(400, 1000), (400, 200), (7, 3), (3, 40_000)])
+    def test_t4_matches_the_closed_form_bitwise(self, monkeypatch, shape):
         gen = SeededStream(9).generator()
         z, u1, u2 = (open_uniform(gen, shape) for _ in range(3))
         expected = math.sqrt(2.0) * ndtri(z) / np.sqrt(-2.0 * (np.log(u1) + np.log(u2)))
-        e = _innovations(SeededStream(9).generator(), *shape, "t4")
-        assert e.dtype == np.float64 and e.shape == shape
-        assert e.tobytes() == expected.tobytes()
+        for piece in PIECES:
+            monkeypatch.setattr(gaussian, "_PIECE_SCALARS", piece)
+            e = slab_filled(SeededStream(9), shape, "t4")
+            assert e.dtype == np.float64 and e.shape == shape
+            assert e.tobytes() == expected.tobytes(), piece
 
 
 class TestDesignSpec:
@@ -177,24 +194,53 @@ class TestDrawSample:
     @pytest.mark.parametrize("rho", [0.0, 0.5])
     @pytest.mark.parametrize("dist", ["t4", "uniform"])
     @pytest.mark.parametrize("design", [1, 3, 6, 8])
-    def test_matches_the_out_of_place_expressions_bitwise(self, design, dist, rho):
+    def test_matches_the_out_of_place_expressions_bitwise(self, monkeypatch, design, dist, rho):
         spec = DesignSpec(design, 70, 33, rho, dist)
         for seed in range(3):
             stream = SeededStream(seed).child("mc", 2)
             y = self.out_of_place(stream.generator(), 70, 33, dist, spec.structure, rho)
             expected = spec.mean_vector() + y
-            x = draw_sample(spec, stream)
-            assert x.view(np.int64).tolist() == expected.view(np.int64).tolist()
+            for piece in PIECES:
+                monkeypatch.setattr(gaussian, "_PIECE_SCALARS", piece)
+                x = draw_sample(spec, stream)
+                assert x.view(np.int64).tolist() == expected.view(np.int64).tolist(), piece
 
     @pytest.mark.parametrize("rho", [0.0, 0.3])
-    def test_power_sweep_innovations_match_the_out_of_place_expressions_bitwise(self, rho):
-        # power_sweep's base sample: normal innovations, equicorrelated when rho > 0
+    def test_power_sweep_innovations_match_the_out_of_place_expressions_bitwise(
+            self, monkeypatch, rho):
+        # power_sweep's base sample: normal innovations, equicorrelated when
+        # rho > 0, plus each r; the replication loop is swapped for one that
+        # keeps the samples of one replication on ``stream``
+        drawn = []
+
+        def rejections(mc, samples):
+            drawn.extend(samples(stream))
+            return np.zeros((1, 2, 1))
+
+        monkeypatch.setattr(simulate, "_rejections", rejections)
         for seed in range(3):
             stream = SeededStream(seed).child("mc", 1)
-            eps = _innovations(stream.generator(), 50, 21, "normal")
-            base = _apply_equi(eps, rho) if rho > 0 else eps
-            expected = self.out_of_place(stream.generator(), 50, 21, "normal", "EQUI", rho)
-            assert base.view(np.int64).tolist() == expected.view(np.int64).tolist()
+            base = self.out_of_place(stream.generator(), 70, 33, "normal", "EQUI", rho)
+            for piece in PIECES:
+                monkeypatch.setattr(gaussian, "_PIECE_SCALARS", piece)
+                drawn.clear()
+                power_sweep(70, 33, rho, [0.0, 0.25], McConfig(sims=1, methods=("sn1",)))
+                for x, r in zip(drawn, (0.0, 0.25), strict=True):
+                    assert x.view(np.int64).tolist() == (base + r).view(np.int64).tolist(), piece
+
+    def test_peak_beyond_the_sample_is_about_one_slab(self):
+        # the t4 draw reads three uniform arrays and the AR filter makes a
+        # fourth: a whole-matrix draw peaks at four samples beyond its own
+        spec = DesignSpec(8, 64, 8192, 0.5, "t4")
+        draw_sample(spec, SeededStream(1))  # scipy.signal is loaded
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            x = draw_sample(spec, SeededStream(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base - x.nbytes <= 8 * gaussian._PIECE_SCALARS * 8
 
 
 class TestRunMc:
