@@ -31,17 +31,17 @@ over that set, and restricting to a subset of columns, duplicating a
 column, or permuting columns never changes the randomness a replication
 sees.
 
-Threads: every pass runs its products on one OpenBLAS thread (see
-:class:`_OneBlasThread`) and fills its weight block (multipliers or
-resampling counts) on the calling thread.  Its 64-wide column blocks are
-multiplied in contiguous runs, one per share and up to one share per core:
-the calling thread takes the first, and threads that the pass starts and
-joins before it returns take the rest.  Every block's product has the shape
-and operands it has alone, so no bit depends on the share count or the BLAS
-thread count.  ``run_mc`` and ``power_sweep`` run their replications on a
-pool of their own, by default one thread per core; passes on its threads,
-which already fill the cores, do not split.  A pass on any other thread
-splits: a lone test's, or one of a serial Monte Carlo run (``threads=1``).
+Threads: :func:`_on_cores` is the one map over the cores, for a pass's
+column runs, the Monte Carlo replications and the grid points of
+``invert_region``; a job it spreads runs any nested call serially.  Every
+pass runs its products on one OpenBLAS thread (see :class:`_OneBlasThread`)
+and fills its weight block (multipliers or resampling counts) on the
+calling thread.  Its 64-wide column blocks are multiplied in contiguous
+runs, up to one per core.  Every block's product has the shape and operands
+it has alone, so no bit depends on the share count or the BLAS thread
+count.  A lone test's pass splits, as does each pass of a serial Monte
+Carlo run (``threads=1``); a pass inside a spread replication or grid point
+runs on that job's thread.
 
 Precision: MB and EB passes run in single precision.  Their target is
 built in float64 from the scaled moments and rounded to float32 once (see
@@ -82,7 +82,7 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +97,6 @@ from .core import (
     _column_blocks,
     _diagnostics,
     _studentized_columns,
-    as_sample_matrix,
     decide,
     summarize,
 )
@@ -137,14 +136,13 @@ _held = threading.local()
 
 # The usable cores.  A pass splits its column blocks into up to this many
 # shares, each multiplying what the whole pass would on one BLAS thread, so
-# the count moves no bit.  run_mc runs its replications on this many threads
-# by default.
+# the count moves no bit.  _on_cores runs on this many threads by default.
 _PASS_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
 
-# Threads of run_mc's own pool, which already fills the cores: their passes
-# run on the thread alone (see _keep_passes_whole).
-_whole = threading.local()
+# Marks a thread while it runs a job of a spread _on_cores call, whose
+# nested calls run serially: the cores are already busy.
+_busy = threading.local()
 
 
 @functools.cache
@@ -218,29 +216,43 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_one_blas_thread._after_fork)
 
 
-def _keep_passes_whole():
-    """Run this thread's passes on it alone: the initializer of ``run_mc``'s pool."""
-    _whole.on = True
+def _on_cores(job, items, workers=None) -> list:
+    """``[job(i) for i in items]`` on up to ``workers`` threads (default: every usable core).
 
-
-def _shares() -> int:
-    """How many shares this thread's passes split into."""
-    return 1 if getattr(_whole, "on", False) else _PASS_WORKERS
-
-
-def _on_shares(tasks) -> list:
-    """The results of ``tasks``, in order: the first runs here, each other on a thread of its own.
-
-    The threads start here and are joined before this returns or raises,
-    so no worker writes into a block or workspace after its pass ends, and
-    none outlives the pass.
+    The caller takes items too; the other threads start here and are joined
+    before this returns or raises.  Inside a job of a spread call, a nested
+    call runs serially.  Every item runs, and the first failing item's
+    error, in item order, is raised once every thread has joined.
     """
-    if len(tasks) == 1:
-        return [tasks[0]()]
-    with ThreadPoolExecutor(len(tasks) - 1, thread_name_prefix="momentineq-pass") as pool:
-        futures = [pool.submit(task) for task in tasks[1:]]
-        first = tasks[0]()
-    return [first] + [f.result() for f in futures]
+    items = list(items)
+    count = min(_PASS_WORKERS if workers is None else workers, len(items))
+    if count <= 1 or getattr(_busy, "on", False):
+        return [job(item) for item in items]
+    futures = [Future() for _ in items]
+    pending = zip(items, futures)
+    lock = threading.Lock()
+
+    def take():
+        _busy.on = True
+        try:
+            while True:
+                with lock:
+                    item, future = next(pending, (None, None))
+                if future is None:
+                    return
+                try:
+                    future.set_result(job(item))
+                except Exception as exc:
+                    future.set_exception(exc)
+        finally:
+            _busy.on = False
+
+    with ThreadPoolExecutor(count - 1, thread_name_prefix="momentineq-core") as pool:
+        takers = [pool.submit(take) for _ in range(count - 1)]
+        take()
+    for taker in takers:
+        taker.result()  # a thread ended by a BaseException leaves its item unset
+    return [f.result() for f in futures]
 
 
 def _buffer(name: str, shape, dtype) -> np.ndarray:
@@ -298,10 +310,10 @@ def _blocked_rowmax(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     blocks = -(-g.shape[1] // _COL_BLOCK)
     fit = _CHUNK_SCALARS // (weights.shape[0] * _COL_BLOCK)
-    count = max(1, min(_shares(), blocks, fit))
+    count = max(1, min(_PASS_WORKERS, blocks, fit))
     edges = [_COL_BLOCK * (blocks * i // count) for i in range(count + 1)]
-    runs = _on_shares([functools.partial(_block_run_rowmax, weights, g[:, a:b])
-                       for a, b in zip(edges, edges[1:])])
+    runs = _on_cores(lambda ab: _block_run_rowmax(weights, g[:, ab[0]:ab[1]]),
+                     zip(edges, edges[1:]))
     out = runs[0]
     for m in runs[1:]:
         np.maximum(out, m, out=out)
@@ -510,7 +522,7 @@ def run_test(sample, spec: CriticalValueSpec, *, stream: SeededStream | None = N
     bootstrap randomness under its own substream tree; an analytic spec
     draws nothing and builds no stream.
     """
-    x = as_sample_matrix(sample)
+    x = np.asarray(sample, np.float64)
     s = summarize(x)
     if stream is None and METHODS[spec.method].scheme != "SN":
         stream = SeededStream(spec.seed)
@@ -531,5 +543,5 @@ def run_tests(sample, specs, stream: SeededStream) -> list[TestDecision]:
     decision does not depend on which other methods are listed, or in what
     order, and equals :func:`run_test` on the same stream.
     """
-    x = as_sample_matrix(sample)
+    x = np.asarray(sample, np.float64)
     return _decisions(x, summarize(x), specs, stream)

@@ -281,7 +281,7 @@ class RegularityDiagnostics:
 
 
 def regularity_diagnostics(sample) -> RegularityDiagnostics:
-    x = as_sample_matrix(sample)
+    x = np.asarray(sample, np.float64)
     s = summarize(x)
     if s.any_degenerate():
         raise DegenerateColumnError(

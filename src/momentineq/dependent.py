@@ -24,7 +24,6 @@ from .bootstrap import _normal_weights, _quantile, _rowmax_draws
 from .core import (
     MomentSummary,
     TestDecision,
-    as_sample_matrix,
     check_count,
     check_sizes,
     decide,
@@ -125,19 +124,22 @@ def bmb_test(sample, plan: BlockPlan, alpha: float, B: int,
     :class:`~momentineq.errors.UndefinedCriticalValueError`.
     """
     check_sizes(alpha, replications=B)
-    x = as_sample_matrix(sample)
-    if plan.n != x.shape[0]:
-        raise ValueError(
-            f"block plan is for n={plan.n} but sample has n={x.shape[0]} rows"
-        )
+    x = np.asarray(sample, np.float64)
     s = summarize(x)
+    if plan.n != s.n:
+        raise ValueError(f"block plan is for n={plan.n} but sample has n={s.n} rows")
     # The block sums are formed from the sample scaled by one power of two
     # 2^-k, k the largest column exponent, so neither they nor their weighted
     # sums overflow; the cutoff is scaled back, and the scaling is exact.
+    # Each large block's rows are scaled and centered on their own, so no
+    # copy of the whole sample is made.
     k = int(s.e.max())
-    xc = np.ldexp(x, -k)
-    xc -= np.ldexp(s.ms, s.e - k)
-    block_sums = np.stack([xc[a:a + plan.q].sum(axis=0) for a in plan._starts])
+    center = np.ldexp(s.ms, s.e - k)
+    block_sums = np.empty((plan.m, s.p))
+    for row, a in zip(block_sums, plan._starts):
+        rows = np.ldexp(x[a:a + plan.q], -k)
+        rows -= center
+        rows.sum(axis=0, out=row)
     scale = 1.0 / math.sqrt(plan.m * plan.q)
     draws = _rowmax_draws(_normal_weights, block_sums, B, stream) * scale
     # A cutoff past the float range scales back to inf, which exceeds names

@@ -4,7 +4,8 @@ A confidence region for a partially identified parameter collects every grid
 point whose moment matrix survives the hypothesis test: the region is the
 exact dual of the test, point by point.  Each grid point runs on its own
 substream, so the region does not depend on evaluation order and bootstrap
-noise is independent across points.
+noise is independent across points.  The points run on every usable core,
+and the region does not depend on the core count.
 
 The approximate-inequality test covers the case where the moment data matrix
 is only an approximation (estimated nuisance parameters, linearization) and
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import _decisions, run_test
+from .bootstrap import _decisions, _on_cores, run_test
 from .core import CriticalValueSpec, TestDecision, as_sample_matrix, summarize
 from .errors import GridPointError, InputError
 from .gaussian import SeededStream
@@ -69,9 +70,10 @@ def invert_region(grid, spec: CriticalValueSpec) -> ConfidenceRegion:
     """Invert the test over a parameter grid.
 
     A grid point is accepted exactly when the test at that point does not
-    reject.  Point ``k`` uses the substream ``(spec.seed, "theta", k)``; an
-    error at any point is re-raised naming the point's label.  Labels must
-    be unique, since the region is a set of labels.
+    reject.  Point ``k`` uses the substream ``(spec.seed, "theta", k)``.
+    The points run on every usable core; when some fail, the first failing
+    point in grid order is re-raised as a ``GridPointError`` naming its
+    label.  Labels must be unique, since the region is a set of labels.
     """
     grid = list(grid)
     ns = {pt.g_values.shape[0] for pt in grid}
@@ -85,26 +87,18 @@ def invert_region(grid, spec: CriticalValueSpec) -> ConfidenceRegion:
             raise InputError(f"grid label {pt.label!r} is repeated")
         labels.add(pt.label)
     root = SeededStream(spec.seed)
-    points = []
-    accepted = []
-    for k, pt in enumerate(grid):
+
+    def point(k):
         try:
-            decision = run_test(pt.g_values, spec, stream=root.child("theta", k))
+            decision = run_test(grid[k].g_values, spec, stream=root.child("theta", k))
         except Exception as exc:
-            raise GridPointError(pt.label, exc) from exc
-        ok = not decision.reject
-        points.append(
-            PointResult(
-                label=pt.label,
-                statistic=decision.statistic,
-                critical_value=decision.critical_value,
-                accepted=ok,
-            )
-        )
-        if ok:
-            accepted.append(pt.label)
+            raise GridPointError(grid[k].label, exc) from exc
+        return PointResult(label=grid[k].label, statistic=decision.statistic,
+                           critical_value=decision.critical_value, accepted=not decision.reject)
+
+    points = _on_cores(point, range(len(grid)))
     return ConfidenceRegion(
-        accepted=frozenset(accepted),
+        accepted=frozenset(pt.label for pt in points if pt.accepted),
         alpha=spec.alpha,
         method=spec,
         points=tuple(points),

@@ -24,8 +24,9 @@ continues from slab to slab.
 ``run_mc`` estimates rejection rates over independent replications, one
 substream per replication, so results do not depend on execution order or
 the thread count.  By default (``McConfig.threads`` is ``None``) the
-replications run on a pool of one thread per usable core; each runs its
-bootstrap passes on its own thread, so the pool's threads alone fill the
+replications run on one thread per usable core, the calling thread among
+them, through :func:`~momentineq.bootstrap._on_cores`; each runs its
+bootstrap passes on its own thread, so the replications alone fill the
 cores.  ``threads=1`` runs them one after another on the calling thread,
 each pass spread over the cores: the opt-out for a caller that already runs
 ``run_mc`` inside a pool of its own.  No rate depends on the setting.
@@ -35,14 +36,13 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import bootstrap
-from .bootstrap import _keep_passes_whole, run_tests
+from .bootstrap import _on_cores, run_tests
 from .core import CriticalValueSpec, check_count, check_sizes
 from .gaussian import SeededStream, _placed, _row_pieces, open_uniform
 
@@ -182,11 +182,11 @@ def draw_sample(spec: DesignSpec, stream: SeededStream) -> np.ndarray:
 class McConfig:
     """Replication counts, sizes, methods, and seeding for one experiment.
 
-    ``threads`` is how many threads run the replications, at most the
-    usable cores and ``sims``: ``None`` (the default) means one per usable
-    core, and ``1`` runs them serially on the calling thread, for a caller
-    that already runs ``run_mc`` inside a pool of its own.  No rate
-    depends on it.
+    ``threads`` is how many threads run the replications, the calling
+    thread included, at most the usable cores and ``sims``: ``None`` (the
+    default) means one per usable core, and ``1`` runs them serially on the
+    calling thread, for a caller that already runs ``run_mc`` inside a pool
+    of its own.  No rate depends on it.
     """
 
     sims: int
@@ -241,9 +241,6 @@ class McResult:
 def _workers(mc: McConfig) -> int:
     """How many threads run ``mc``'s replications: ``mc.threads``, or by default
     one per usable core, but no more than the usable cores or the replications.
-
-    A lone replication on a pool thread would not split its passes, so a
-    count that resolves to 1 runs serially, each pass spread over the cores.
     """
     cores = bootstrap._PASS_WORKERS
     return min(cores if mc.threads is None else mc.threads, cores, mc.sims)
@@ -265,15 +262,7 @@ def _rejections(mc: McConfig, samples) -> np.ndarray:
         rep = root.child("mc", k)
         return [[d.reject for d in run_tests(x, specs, rep)] for x in samples(rep)]
 
-    workers = _workers(mc)
-    if workers > 1:
-        # the pool's threads already fill the cores, so their passes do not split
-        with ThreadPoolExecutor(max_workers=workers,
-                                initializer=_keep_passes_whole) as pool:
-            rows = list(pool.map(replication, range(mc.sims)))
-    else:
-        rows = [replication(k) for k in range(mc.sims)]
-    return np.asarray(rows, dtype=np.float64)
+    return np.asarray(_on_cores(replication, range(mc.sims), _workers(mc)), dtype=np.float64)
 
 
 def run_mc(design: DesignSpec, mc: McConfig) -> McResult:

@@ -620,6 +620,90 @@ def forked_cutoff(x, spec, results):
     results.put((get(), run_test(x, spec, stream=SeededStream(8)).critical_value))
 
 
+class TestOnCores:
+    """The one map over the cores: item order, the caller's share, nesting, and errors."""
+
+    @pytest.mark.parametrize("workers, cores", [(None, 3), (2, 3), (5, 1), (1, 3)])
+    def test_results_come_in_item_order_on_at_most_workers_threads(self, monkeypatch,
+                                                                    workers, cores):
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", cores)
+        seen = []
+
+        def job(i):
+            seen.append(threading.get_ident())
+            time.sleep(0.01 * (i % 3))
+            return i * i
+
+        assert bootstrap._on_cores(job, iter(range(12)), workers) == [i * i for i in range(12)]
+        assert len(seen) == 12
+        assert 1 <= len(set(seen)) <= (cores if workers is None else workers)
+        if (cores if workers is None else workers) == 1:
+            assert set(seen) == {threading.get_ident()}
+
+    def test_eight_threads_take_each_item_once_under_frequent_switches(self):
+        ran = []
+
+        def job(i):
+            ran.append(i)
+            return -i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = bootstrap._on_cores(job, range(2000), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [-i for i in range(2000)]
+        assert sorted(ran) == list(range(2000))
+
+    def test_the_caller_takes_items_too(self, monkeypatch):
+        # each job waits until every thread holds one, so the caller must be one of them
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 3)
+        all_in = threading.Barrier(3, timeout=30)
+
+        def job(i):
+            all_in.wait()
+            return threading.get_ident()
+
+        seen = bootstrap._on_cores(job, range(3))
+        assert len(set(seen)) == 3 and threading.get_ident() in seen
+
+    def test_a_call_inside_a_job_runs_serially_on_its_thread(self, monkeypatch):
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 2)
+
+        def inner(i):
+            return threading.get_ident()
+
+        def outer(i):
+            return threading.get_ident(), bootstrap._on_cores(inner, range(4))
+
+        for mine, nested in bootstrap._on_cores(outer, range(4)):
+            assert nested == [mine] * 4
+        assert not getattr(bootstrap._busy, "on", False)  # the caller is unmarked after
+
+    def test_the_first_failing_item_raises_after_every_job_ends(self, monkeypatch):
+        # item 2 fails first, item 1 later; whichever thread takes item 0,
+        # item 1's error is raised, and only once every job has ended
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 2)
+        ended = []
+
+        def job(i):
+            try:
+                if i == 1:
+                    time.sleep(0.3)
+                    raise RuntimeError("item 1 failed")
+                if i == 2:
+                    raise RuntimeError("item 2 failed")
+                time.sleep(0.1)
+                return i
+            finally:
+                ended.append(i)
+
+        with pytest.raises(RuntimeError, match="item 1 failed"):
+            bootstrap._on_cores(job, range(4))
+        assert sorted(ended) == [0, 1, 2, 3]
+
+
 class TestPassPool:
     """The threads a pass splits over: it joins every share before it ends, and survives a fork."""
 
@@ -627,26 +711,11 @@ class TestPassPool:
     def two_shares(self, monkeypatch):
         monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 2)
 
-    def test_a_pass_raises_only_after_every_share_ends(self, two_shares, monkeypatch):
-        ended = []
-
-        def product(weights, g):
-            if threading.current_thread() is threading.main_thread():
-                raise RuntimeError("first share failed")
-            time.sleep(0.2)
-            ended.append(g.shape)
-            return np.zeros(weights.shape[0])
-
-        monkeypatch.setattr(bootstrap, "_block_run_rowmax", product)
-        with pytest.raises(RuntimeError, match="first share failed"):
-            bootstrap._blocked_rowmax(np.ones((10, 5)), np.ones((5, 128)))
-        assert ended == [(5, 64)]
-
     def test_a_split_pass_leaves_no_thread_behind(self, monkeypatch):
         monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 3)
         out = bootstrap._blocked_rowmax(np.ones((10, 5)), np.ones((5, 256)))
         assert out.tolist() == [5.0] * 10
-        assert [t.name for t in threading.enumerate() if t.name.startswith("momentineq-pass")] == []
+        assert [t.name for t in threading.enumerate() if t.name.startswith("momentineq-core")] == []
 
     @pytest.mark.parametrize("chunk, runs", [(None, [64, 64, 128]), (2 * 10 * 64, [128, 128]),
                                              (10 * 64 - 1, [256])],

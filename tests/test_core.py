@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -64,6 +65,44 @@ class TestValidation:
 
     def test_accepts_single_column(self):
         assert as_sample_matrix([[0.0], [1.0]]).shape == (2, 1)
+
+    ENTRY_POINTS = {
+        "run_test": lambda x: run_test(x, CriticalValueSpec("mb1", replications=100),
+                                       include_diagnostics=True),
+        "run_tests": lambda x: bootstrap.run_tests(
+            x, [CriticalValueSpec("sn2"), CriticalValueSpec("eb2", replications=100)],
+            SeededStream(1)),
+        "regularity_diagnostics": regularity_diagnostics,
+        "bmb_test": lambda x: bmb_test(x, make_blocks(30, 3, 1), 0.05, 100, SeededStream(1)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_each_entry_point_scans_the_sample_once(self, monkeypatch, entry):
+        scans = []
+        check = core.as_sample_matrix
+
+        def counted(data):
+            scans.append(data)
+            return check(data)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("momentineq") and getattr(
+                    module, "as_sample_matrix", None) is check:
+                monkeypatch.setattr(module, "as_sample_matrix", counted)
+        x = np.random.default_rng(8).normal(size=(30, 5))
+        self.ENTRY_POINTS[entry](x)
+        assert len(scans) == 1 and scans[0] is x
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((1, 3)), "need at least 2 observations, got n=1"),
+        (np.zeros(30), "sample must be a 2-d matrix, got shape (30,)"),
+        (np.where(np.arange(90).reshape(30, 3) == 44, np.inf, 1.0),
+         "non-finite entry at row 15, column 3"),
+    ], ids=["one-row", "vector", "inf"])
+    def test_each_entry_point_names_a_bad_sample_as_before(self, entry, bad, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            self.ENTRY_POINTS[entry](bad)
 
 
 class TestSummarize:

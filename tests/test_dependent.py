@@ -16,6 +16,7 @@ from momentineq import (
     make_blocks,
     summarize,
 )
+from momentineq import dependent
 from momentineq.bootstrap import _blocked_rowmax, _quantile
 from momentineq.gaussian import open_uniform
 
@@ -248,6 +249,45 @@ class TestBmbTest:
         x = np.column_stack([col, col, col])
         with pytest.raises(UndefinedCriticalValueError, match="finite"):
             bmb_test(x, make_blocks(200, 2, 1), 0.05, 1000, SeededStream(0))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 1018], ids=["unit", "2^1018"])
+    @pytest.mark.parametrize("n, p, q, r, order", [
+        (60, 7, 5, 2, "C"), (400, 300, 7, 2, "F"), (301, 65, 40, 3, "C")])
+    def test_block_sums_equal_the_whole_sample_formula(self, monkeypatch, scale, n, p, q, r,
+                                                       order):
+        # the sums the draws weight are those of the scaled, centered whole sample
+        rng = np.random.default_rng(n + p)
+        x = rng.standard_t(4, size=(n, p)) * rng.uniform(0.1, 1.0, size=p)
+        x = np.asarray(x / np.abs(x).max() * scale, order=order)
+        plan = make_blocks(n, q, r)
+        s = summarize(x)
+        k = int(s.e.max())
+        xc = np.ldexp(x, -k)
+        xc -= np.ldexp(s.ms, s.e - k)
+        expected = np.stack([xc[a:a + q].sum(axis=0) for a, _ in plan.large_blocks])
+        seen = []
+        draws = dependent._rowmax_draws
+
+        def recorded(weights, target, B, stream):
+            seen.append(target.copy())
+            return draws(weights, target, B, stream)
+
+        monkeypatch.setattr(dependent, "_rowmax_draws", recorded)
+        bmb_test(x, plan, 0.05, 100, SeededStream(3))
+        assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
+
+    def test_no_copy_of_the_whole_sample(self):
+        x = np.random.default_rng(12).normal(size=(400, 8192))
+        plan = make_blocks(400, *default_block_lengths(400))
+        bmb_test(x, plan, 0.05, 200, SeededStream(1))  # warms this thread's workspaces
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bmb_test(x, plan, 0.05, 200, SeededStream(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < x.nbytes / 4
 
     @pytest.mark.parametrize("alpha", [0.6, 0.9, 0.0])
     def test_alpha_outside_the_test_sizes_is_rejected(self, alpha):

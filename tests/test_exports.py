@@ -219,9 +219,8 @@ def calls_of(name):
     ]
 
 
-def test_thread_pools_are_built_only_by_the_pass_pool_and_the_monte_carlo_loop():
-    assert sorted(calls_of("ThreadPoolExecutor")) == [
-        ("bootstrap", "_on_shares"), ("simulate", "_rejections")]
+def test_thread_pools_are_built_only_by_the_one_map_over_the_cores():
+    assert sorted(calls_of("ThreadPoolExecutor")) == [("bootstrap", "_on_cores")]
 
 
 def test_no_generator_is_moved_or_its_state_touched():

@@ -1,6 +1,8 @@
 """Test inversion duality, the location-model closed form, approximate data."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from momentineq import (
     sn_one_step,
     summarize,
 )
+from momentineq import bootstrap, inference
 
 
 def location_grid(xi, thetas):
@@ -88,6 +91,79 @@ class TestInvertRegion:
                 GridPoint("broken", (1.0,), bad)]
         with pytest.raises(GridPointError, match="broken"):
             invert_region(grid, CriticalValueSpec("mb1", replications=200))
+
+
+def shifted_grid(points=8, n=120, p=150):
+    """Points whose means rise from clearly negative to clearly positive, so some are refused."""
+    x = np.random.default_rng(45).normal(size=(n, p))
+    return [GridPoint(f"s{k}", (float(k),), x + (k - 5) * 0.12) for k in range(points)]
+
+
+class TestInversionOnCores:
+    """The grid points run on every usable core, and the region does not depend on how many."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return shifted_grid()
+
+    @pytest.mark.parametrize("method", ["mb2", "eb2", "hyb-mb", "sn2"])
+    def test_regions_do_not_depend_on_the_core_count(self, monkeypatch, grid, method):
+        spec = CriticalValueSpec(method, beta=0.01, replications=300, seed=4)
+        regions = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(bootstrap, "_PASS_WORKERS", cores)
+            regions.append(invert_region(grid, spec))
+        assert 0 < len(regions[0].accepted) < len(grid)
+        for region in regions[1:]:
+            assert region.accepted == regions[0].accepted
+            assert region.points == regions[0].points  # statistics and cutoffs, bit for bit
+
+    def test_the_first_failing_point_in_grid_order_is_named(self, monkeypatch, grid):
+        # point 5 fails at once, point 2 only after a sleep: point 2 is named
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 2)
+        failed = []
+
+        def flaky(sample, spec, *, stream):
+            k = stream.path[-1][1]
+            if k == 2:
+                time.sleep(0.3)
+            if k in (2, 5):
+                failed.append(k)
+                raise ValueError(f"point {k} failed")
+            return run_test(sample, spec, stream=stream)
+
+        monkeypatch.setattr(inference, "run_test", flaky)
+        with pytest.raises(GridPointError, match="s2") as info:
+            invert_region(grid, CriticalValueSpec("sn1"))
+        assert failed == [5, 2]
+        assert str(info.value.__cause__) == "point 2 failed"
+
+    def test_a_pass_inside_a_grid_point_runs_whole(self, monkeypatch, grid):
+        # every product of a pass runs on the thread that runs the pass
+        monkeypatch.setattr(bootstrap, "_PASS_WORKERS", 2)
+        mine = threading.local()
+        products = []
+        draws, product = bootstrap._rowmax_draws, bootstrap._block_run_rowmax
+
+        def pass_here(*args):
+            mine.on = True
+            try:
+                return draws(*args)
+            finally:
+                mine.on = False
+
+        def product_here(weights, g):
+            products.append(getattr(mine, "on", False))
+            return product(weights, g)
+
+        monkeypatch.setattr(bootstrap, "_rowmax_draws", pass_here)
+        monkeypatch.setattr(bootstrap, "_block_run_rowmax", product_here)
+        spec = CriticalValueSpec("mb1", replications=200)
+        run_test(grid[0].g_values, spec)
+        assert False in products  # a lone test's pass splits
+        products.clear()
+        invert_region(grid[:4], spec)
+        assert products and all(products)
 
 
 class TestApproximateTwoStep:

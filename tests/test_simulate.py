@@ -388,7 +388,7 @@ class TestPowerSweep:
 
 
 class TestDefaultThreads:
-    """``threads=None`` runs the replications on one thread per usable core."""
+    """``threads=None`` runs the replications on one thread per usable core, the caller's included."""
 
     design = DesignSpec(1, 40, 6, 0.0, "uniform")
     kw = dict(sims=8, bootstrap_reps=100, methods=("sn1", "mb1"), seed=5)
@@ -408,20 +408,20 @@ class TestDefaultThreads:
         monkeypatch.setattr(simulate, "run_tests", recorded)
         return seen
 
-    def test_run_mc_default_runs_on_every_core(self, monkeypatch):
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_run_mc_default_runs_on_every_core(self, monkeypatch, cores):
         serial = run_mc(self.design, McConfig(threads=1, **self.kw))
-        seen = self.threads_seen(monkeypatch, 2)
+        seen = self.threads_seen(monkeypatch, cores)
         pooled = run_mc(self.design, McConfig(**self.kw))
-        assert len(seen) == 8 and len(set(seen)) == 2
-        assert threading.get_ident() not in seen
+        assert len(seen) == 8 and len(set(seen)) == cores
         assert pooled.rates == serial.rates and pooled.ses == serial.ses
 
-    def test_power_sweep_default_runs_on_every_core(self, monkeypatch):
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_power_sweep_default_runs_on_every_core(self, monkeypatch, cores):
         serial = power_sweep(40, 6, 0.3, [0.0, 0.4], McConfig(threads=1, **self.kw))
-        seen = self.threads_seen(monkeypatch, 2)
+        seen = self.threads_seen(monkeypatch, cores)
         pooled = power_sweep(40, 6, 0.3, [0.0, 0.4], McConfig(**self.kw))
-        assert len(seen) == 16 and len(set(seen)) == 2
-        assert threading.get_ident() not in seen
+        assert len(seen) == 16 and len(set(seen)) == cores
         assert pooled.rates == serial.rates and pooled.ses == serial.ses
 
     @pytest.mark.parametrize("threads, cores, sims", [
