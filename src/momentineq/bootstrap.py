@@ -47,8 +47,11 @@ Precision: MB and EB passes run in single precision.  Their target is
 built in float64 from the scaled moments and rounded to float32 once (see
 :func:`_target`); the weight block, the products and the draws follow the
 target's dtype, so a cutoff sits about 1e-6 relative from a float64
-product's.  The block multiplier bootstrap passes a float64 target and keeps
-double precision.
+product's.  A multiplier's Box-Muller radius is taken in double precision
+and its angle and cosine in the block's dtype (see :func:`_normal_weights`),
+so a float32 multiplier sits within a few 1e-6 of a float64 block's.  The
+block multiplier bootstrap passes a float64 target and keeps double
+precision throughout.
 
 Memory: every bootstrap pass builds its ``k x n`` weight block (multipliers
 or resampling counts) in a workspace of the calling thread, and each share
@@ -86,7 +89,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import (
     METHODS,
@@ -101,7 +103,7 @@ from .core import (
     summarize,
 )
 from .errors import DegenerateColumnError
-from .gaussian import SeededStream, _row_pieces, open_uniform
+from .gaussian import SeededStream, _row_pieces
 from .sn import _sn_from_tail, sn_select, threshold_select
 
 __all__ = [
@@ -323,13 +325,31 @@ def _blocked_rowmax(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _normal_weights(gen, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (replications x rows) with i.i.d. N(0,1) multipliers, one per row.
 
+    Each multiplier is the Box-Muller cosine of one raw 64-bit Philox output
+    ``r``: the radius ``sqrt(-2 log((hi + 1/2) 2^-32))`` of its high 32 bits,
+    in double precision, times ``cos(2 pi lo 2^-32)`` of its low 32 bits, in
+    ``out``'s dtype, rounded once into ``out``.  The uniform lies in the open
+    interval (0, 1), so ``|z| <= sqrt(66 ln 2)``, about 6.76.
+
     The block fills on the calling thread, piece by piece in row-major
-    order, so it draws the bits of one ``open_uniform`` call over ``out``
-    and leaves ``gen`` where that call would.  ``ndtri`` runs in double
-    precision and each multiplier is rounded once into ``out``'s dtype.
+    order, so it draws the bits of one call over ``out`` and leaves ``gen``
+    where ``random_raw(out.size)`` would, its spare 32-bit half-word
+    untouched.
     """
+    turn = out.dtype.type(2.0 * math.pi * 2.0 ** -32)
     for piece in _row_pieces(out):
-        ndtri(open_uniform(gen, piece.shape), out=piece)
+        r = gen.bit_generator.random_raw(piece.shape)
+        radius = (r >> 32).astype(np.float64)
+        radius += 0.5
+        radius *= 2.0 ** -32
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        r &= 0xFFFF_FFFF
+        angle = r.astype(out.dtype)
+        angle *= turn
+        np.cos(angle, out=angle)
+        np.multiply(radius, angle, out=piece)
     return out
 
 

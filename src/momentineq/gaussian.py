@@ -4,15 +4,20 @@ Every randomized procedure in this package draws from a :class:`SeededStream`,
 a value type identifying a substream by ``(master_seed, path)``.  The stream's
 Philox generator is keyed by a hash of that pair, so distinct paths yield
 independent streams and results never depend on wall clock, call order, or
-thread identity.  The package's normal variates are ``ndtri`` of
-:func:`open_uniform` draws (inversion), which keeps consumption patterns, and
-therefore reproducibility, independent of the values drawn.
+thread identity.  Every draw takes a fixed number of raw Philox outputs,
+whatever the values drawn, which keeps consumption patterns, and therefore
+reproducibility, independent of the values: the samples' normal variates are
+``ndtri`` of :func:`open_uniform` draws (inversion), and the bootstrap
+multipliers are Box-Muller cosines, each from one raw output (see
+``bootstrap._normal_weights``).
 
-Each uniform takes exactly one 64-bit Philox output, and Philox makes four
-outputs per counter step.  So the ``k``-th uniform of a stream is reached
-without drawing the ones before it (:func:`_placed`: ``advance(k // 4)``,
-then ``k % 4`` raw outputs), and a block drawn in runs of whole rows
-(:func:`_row_pieces`) holds the bits of one call over the block.
+Each uniform and each multiplier takes exactly one 64-bit Philox output, read
+through ``random_raw``, whose stream numpy keeps fixed across versions; and
+Philox makes four outputs per counter step.  So the ``k``-th uniform of a
+stream is reached without drawing the ones before it (:func:`_placed`:
+``advance(k // 4)``, then ``k % 4`` raw outputs), and a block drawn in runs
+of whole rows (:func:`_row_pieces`) holds the bits of one call over the
+block.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ _U53 = 0.5 ** 53  # spacing of the open-interval uniform grid
 
 # Draws fill a block in runs of whole rows of about this many scalars, so
 # their temporaries stay small: the bootstrap weight builders and the design
-# samples alike.  Philox yields one output per uniform, and bounded integers
-# keep their spare 32-bit half-word in the bit generator, so the piece
-# boundaries move no bit.
+# samples alike.  Philox yields one output per uniform and per multiplier,
+# and bounded integers keep their spare 32-bit half-word in the bit
+# generator, so the piece boundaries move no bit.
 _PIECE_SCALARS = 32_768
 
 
@@ -87,16 +92,17 @@ class SeededStream:
 
 
 def open_uniform(gen: np.random.Generator, size) -> np.ndarray:
-    """Uniform draws on the *open* interval (0, 1).
+    """Uniform draws on the *open* interval (0, 1), one raw Philox output each.
 
     Values are odd multiples of 2^-53, so the endpoints 0 and 1 are
-    unreachable and ``ndtri`` stays finite.
+    unreachable and ``ndtri`` stays finite.  The value of a raw output ``r``
+    is ``(2k + 1) 2^-53`` for its top 52 bits ``k = r >> 12``.
     """
-    k = gen.integers(0, 1 << 52, size=size, dtype=np.int64)
-    # (2k + 1) * 2^-53 in place: 2k + 1 < 2^53 converts to float exactly
-    k <<= 1
-    k |= 1
-    u = k.astype(np.float64)
+    r = gen.bit_generator.random_raw(size)
+    # (r >> 11) | 1 = 2k + 1 < 2^53 in place, which converts to float exactly
+    r >>= 11
+    r |= 1
+    u = r.astype(np.float64)
     u *= _U53
     return u
 

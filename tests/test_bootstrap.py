@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import ndtri
+from scipy.special import ndtr
 from scipy.stats import kstest
 
 from momentineq import (
@@ -42,8 +42,8 @@ from momentineq import (
 )
 from momentineq import bootstrap, gaussian
 from momentineq.core import METHODS, studentized_scores
-from momentineq.gaussian import open_uniform
 from momentineq.sn import threshold_select
+from box_muller import RADIUS_MAX, SINGLE_GAP, box_muller
 from score_samples import sample_with_scores
 
 
@@ -272,14 +272,14 @@ class TestPiecewiseWeights:
         return plain(gen.bit_generator.state)
 
     @staticmethod
-    def mb_reference(gen, k, rows):
-        return ndtri(open_uniform(gen, (k, rows)))
+    def mb_reference(gen, k, rows, dtype=np.float64):
+        return box_muller(gen, (k, rows), dtype)
 
     @staticmethod
-    def eb_reference(gen, k, rows):
+    def eb_reference(gen, k, rows, dtype=np.float64):
         idx = gen.integers(0, rows, size=(k, rows))
         flat = (idx + (np.arange(k) * rows)[:, None]).ravel()
-        return np.bincount(flat, minlength=k * rows).reshape(k, rows).astype(np.float64)
+        return np.bincount(flat, minlength=k * rows).reshape(k, rows).astype(dtype)
 
     PIECES = pytest.mark.parametrize("piece, k, rows", [
         (10, 9, 4),       # two rows a piece, the last piece one row: a split mid-block
@@ -290,7 +290,7 @@ class TestPiecewiseWeights:
     ], ids=["split", "long-rows", "one-row", "one-replication", "default"])
 
     def built(self, monkeypatch, scheme, piece, k, rows, dtype):
-        """``(block, reference)``: the builder's ``k x rows`` block in ``dtype``, and one call's."""
+        """``(block, reference)``: the builder's ``k x rows`` block and one call's, in ``dtype``."""
         monkeypatch.setattr(gaussian, "_PIECE_SCALARS", piece)
         build, reference = {
             "MB": (bootstrap._normal_weights, self.mb_reference),
@@ -299,7 +299,7 @@ class TestPiecewiseWeights:
         gen, ref_gen = SeededStream(31).generator(), SeededStream(31).generator()
         out = np.full((k, rows), np.nan, dtype)
         assert build(gen, out) is out
-        ref = reference(ref_gen, k, rows)
+        ref = reference(ref_gen, k, rows, dtype)
         assert self.state(gen) == self.state(ref_gen)
         assert gen.bit_generator.random_raw() == ref_gen.bit_generator.random_raw()
         return out, ref
@@ -314,11 +314,16 @@ class TestPiecewiseWeights:
     @PIECES
     def test_single_precision_pieces_round_the_bits_of_one_call(self, monkeypatch, scheme,
                                                                 piece, k, rows):
-        # multipliers come from ndtri in double, rounded once; counts are exact
+        # a multiplier's angle and cosine are taken in float32, so its bits
+        # are the float32 reference's and it sits near the float64 block's;
+        # counts are exact
         out, ref = self.built(monkeypatch, scheme, piece, k, rows, np.float32)
-        assert out.tobytes() == ref.astype(np.float32).tobytes()
+        assert out.tobytes() == ref.tobytes()
+        double, _ = self.built(monkeypatch, scheme, piece, k, rows, np.float64)
         if scheme == "EB":
-            assert out.astype(np.float64).tobytes() == ref.tobytes()
+            assert out.astype(np.float64).tobytes() == double.tobytes()
+        else:
+            assert np.abs(out - double).max() <= SINGLE_GAP
 
     @pytest.mark.parametrize("taken", [0, 1, 6], ids=["fresh", "odd-half-word", "mid-buffer"])
     def test_runs_on_three_shares_draw_the_bits_of_one_call(self, monkeypatch, taken):
@@ -387,6 +392,46 @@ class TestPiecewiseWeights:
         assert max(sizes.values()) <= 32_000_000
 
 
+class TestBoxMullerMultipliers:
+    """The multipliers are N(0,1) in either dtype, and each takes one raw Philox output."""
+
+    N = 1_000_000
+
+    @pytest.fixture(scope="class", params=[np.float32, np.float64], ids=["float32", "float64"])
+    def z(self, request):
+        out = np.empty((1000, self.N // 1000), request.param)
+        return bootstrap._normal_weights(SeededStream(2024).generator(), out).ravel()
+
+    def test_ks_distance_is_within_the_one_percent_bound(self, z):
+        assert kstest(z.astype(np.float64), "norm").statistic <= 1.63 / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("t", [2.0, 3.0, 4.0])
+    def test_tail_shares_lie_within_five_standard_errors(self, z, t):
+        share = 2.0 * ndtr(-t)
+        se = math.sqrt(share * (1.0 - share) / self.N)
+        assert abs(np.mean(np.abs(z) > t) - share) <= 5.0 * se
+
+    def test_no_multiplier_exceeds_the_largest_radius(self, z):
+        assert RADIUS_MAX < 6.77
+        assert np.abs(z).max() <= 6.77
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("k, rows", [(9, 4), (200, 400), (3, 40_000)])
+    @pytest.mark.parametrize("taken", [0, 1, 6], ids=["fresh", "odd-half-word", "mid-buffer"])
+    def test_a_fill_takes_one_raw_output_per_multiplier(self, dtype, k, rows, taken):
+        # from a generator whose float32 draws left a spare 32-bit half-word
+        # (1) or stand mid-way in Philox's four outputs (6), which the fill
+        # leaves as it found it
+        gen, ref_gen = SeededStream(8).generator(), SeededStream(8).generator()
+        for g in (gen, ref_gen):
+            g.random(taken, dtype=np.float32)
+        bootstrap._normal_weights(gen, np.empty((k, rows), dtype))
+        ref_gen.bit_generator.random_raw(k * rows)
+        assert TestPiecewiseWeights.state(gen) == TestPiecewiseWeights.state(ref_gen)
+        assert gen.random(3, dtype=np.float32).tobytes() == ref_gen.random(
+            3, dtype=np.float32).tobytes()
+
+
 def on_fresh_thread(fn, *args):
     """``fn(*args)`` on a new thread, whose empty workspace makes its first pass build."""
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -400,10 +445,10 @@ def lone_cutoff(x, scheme, cols, level, B, stream):
         scheme, x, summarize(x), cols0, B, stream.child(scheme)), level))
 
 
-def sparse_sample(n=200, p=30, seed=3):
+def sparse_sample(n=200, p=30, seed=3, slack=0.75):
     """Three columns at the boundary and the rest deep in the slack, so two-step sets are strict."""
     x = np.random.default_rng(seed).normal(size=(n, p))
-    x[:, 3:] -= 0.75
+    x[:, 3:] -= slack
     return x
 
 
@@ -537,7 +582,9 @@ class TestHeldBlock:
             assert got.tobytes() == on_fresh_thread(run, dtype).tobytes()
 
     def test_nothing_is_kept_when_a_row_exceeds_the_chunk(self, monkeypatch, builds):
-        x, stream, B = sparse_sample(n=50, p=10), SeededStream(16), 100
+        # at n = 50 a slack of 1.5 puts the slack columns' scores near -10,
+        # as 0.75 does at the default n = 200, past any cutoff of 100 draws
+        x, stream, B = sparse_sample(n=50, p=10, slack=1.5), SeededStream(16), 100
         monkeypatch.setattr(bootstrap, "_CHUNK_SCALARS", 49)
         specs = [CriticalValueSpec("mb2", self.ALPHA, self.BETA, B)]
         (ours,) = run_tests(x, specs, stream)

@@ -19,6 +19,7 @@ from momentineq import (
 from momentineq import dependent
 from momentineq.bootstrap import _blocked_rowmax, _quantile
 from momentineq.gaussian import open_uniform
+from box_muller import box_muller
 
 
 class TestMakeBlocks:
@@ -143,7 +144,7 @@ class TestBmbCritical:
         s = summarize(x)
         xc = x - s.means
         sums = np.stack([xc[a:b].sum(axis=0) for a, b in plan.large_blocks])
-        eps = ndtri(open_uniform(stream.generator(), (200, plan.m)))
+        eps = box_muller(stream.generator(), (200, plan.m))
         draws = np.array(
             [
                 max(
@@ -168,7 +169,7 @@ class TestBmbCritical:
         plan = make_blocks(shape[0], *blocks)
         xc = x - summarize(x).means
         sums = np.stack([xc[a:b].sum(axis=0) for a, b in plan.large_blocks])
-        eps = ndtri(open_uniform(SeededStream(stream_seed).generator(), (B, plan.m)))
+        eps = box_muller(SeededStream(stream_seed).generator(), (B, plan.m))
         draws = _blocked_rowmax(eps, sums) * (1 / math.sqrt(plan.m * plan.q))
         expected = _quantile(draws, 1 - alpha)
         assert bmb_cutoff(x, plan, alpha, B, SeededStream(stream_seed)) == expected

@@ -223,6 +223,29 @@ def test_thread_pools_are_built_only_by_the_one_map_over_the_cores():
     assert sorted(calls_of("ThreadPoolExecutor")) == [("bootstrap", "_on_cores")]
 
 
+def namers(name):
+    """``(module, innermost function)`` of every name, attribute and import of ``name``."""
+    return {
+        (path.stem, owner.get(id(node), "<module>"))
+        for path, tree, owner in package_sources() for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and node.name == name
+    }
+
+
+def test_ndtri_inverts_only_the_sample_uniforms_and_the_sn_tail():
+    # the bootstrap multipliers are Box-Muller cosines, not inverted uniforms
+    assert namers("ndtri") == {("simulate", "<module>"), ("simulate", "_innovations"),
+                               ("sn", "<module>"), ("sn", "_sn_from_tail")}
+
+
+def test_raw_outputs_are_read_only_by_the_uniforms_the_placing_and_the_multipliers():
+    # each draws one raw Philox output per value, whose stream numpy keeps fixed
+    assert namers("random_raw") == {("gaussian", "open_uniform"), ("gaussian", "_placed"),
+                                    ("bootstrap", "_normal_weights")}
+
+
 def test_no_generator_is_moved_or_its_state_touched():
     # every draw continues its generator where the last one left it; only
     # the one placing helper moves a fresh generator to where a draw starts

@@ -91,7 +91,7 @@ class TestSeededStream:
 
 
 class TestStandardNormalDraws:
-    """Normal draws by inversion, ``ndtri`` of open-interval uniforms, as the multipliers are."""
+    """Normal draws by inversion, ``ndtri`` of open-interval uniforms, as the samples' are."""
 
     def test_moments_at_one_million_draws(self):
         z = ndtri(open_uniform(SeededStream(2024).generator(), 1_000_000))
@@ -114,13 +114,28 @@ class TestStandardNormalDraws:
         assert np.all(k == np.round(k))
         assert np.all(np.asarray(k, dtype=np.int64) % 2 == 1)
 
-    @pytest.mark.parametrize("size", [(1000, 400), (7, 3), 5])
+    @staticmethod
+    def oracle(gen, size):
+        """The uniforms as ``Generator.integers`` makes them: ``(2k + 1) 2^-53``, ``k < 2^52``."""
+        k = gen.integers(0, 1 << 52, size=size, dtype=np.int64)
+        return (2 * k + 1) * 0.5 ** 53
+
+    @pytest.mark.parametrize("size", [(1000, 400), (7, 3), 5, (2, 3, 4), 1, 0])
     def test_uniforms_match_the_closed_form_bitwise(self, size):
-        k = SeededStream(9).generator().integers(0, 1 << 52, size=size, dtype=np.int64)
+        expected = self.oracle(SeededStream(9).generator(), size)
         u = open_uniform(SeededStream(9).generator(), size)
-        expected = (2 * k + 1) * 0.5 ** 53
         assert u.dtype == np.float64 and u.shape == expected.shape
         assert u.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3, 10 ** 6 + 4, 10 ** 6 + 5, 10 ** 6 + 6,
+                                        10 ** 6 + 7])
+    def test_placed_uniforms_match_the_closed_form_bitwise(self, offset):
+        # the raw outputs behind the uniforms continue from any remainder mod 4
+        stream = SeededStream(9, (("mc", 1),))
+        drained = stream.generator()
+        drained.bit_generator.random_raw(offset)
+        u = open_uniform(_placed(stream, offset), (13, 5))
+        assert u.tobytes() == self.oracle(drained, (13, 5)).tobytes()
 
 
 class TestAhead:
