@@ -48,7 +48,7 @@ built in float64 from the scaled moments and rounded to float32 once (see
 :func:`_target`); the weight block, the products and the draws follow the
 target's dtype, so a cutoff sits about 1e-6 relative from a float64
 product's.  A multiplier's Box-Muller radius is taken in double precision
-and its angle and cosine in the block's dtype (see :func:`_normal_weights`),
+and its angle and cosine in the block's dtype (see :func:`_box_muller`),
 so a float32 multiplier sits within a few 1e-6 of a float64 block's.  The
 block multiplier bootstrap passes a float64 target and keeps double
 precision throughout.
@@ -322,34 +322,45 @@ def _blocked_rowmax(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def _box_muller(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Store in ``out`` the Box-Muller cosine of each raw 64-bit output in ``r``.
+
+    The radius ``sqrt(-2 log((hi + 1/2) 2^-32))`` of the high 32 bits is
+    taken in double precision, the cosine ``cos(2 pi lo 2^-32)`` of the low
+    32 bits in ``out``'s dtype, and their product is rounded once into
+    ``out``.  The uniform lies in the open interval (0, 1), so
+    ``|z| <= sqrt(66 ln 2)``, about 6.76.  ``r`` is overwritten.
+    """
+    radius = (r >> 32).astype(np.float64)
+    radius += 0.5
+    radius *= 2.0 ** -32
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    r &= 0xFFFF_FFFF
+    angle = r.astype(out.dtype)
+    angle *= out.dtype.type(2.0 * math.pi * 2.0 ** -32)
+    np.cos(angle, out=angle)
+    return np.multiply(radius, angle, out=out)
+
+
+# The multiplier transform keeps the name of the inverse normal CDF it
+# replaced: bench/spans.py times its ``bootstrap.ndtri`` layer through this
+# global, which ``_normal_weights`` calls.
+ndtri = _box_muller
+
+
 def _normal_weights(gen, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (replications x rows) with i.i.d. N(0,1) multipliers, one per row.
 
     Each multiplier is the Box-Muller cosine of one raw 64-bit Philox output
-    ``r``: the radius ``sqrt(-2 log((hi + 1/2) 2^-32))`` of its high 32 bits,
-    in double precision, times ``cos(2 pi lo 2^-32)`` of its low 32 bits, in
-    ``out``'s dtype, rounded once into ``out``.  The uniform lies in the open
-    interval (0, 1), so ``|z| <= sqrt(66 ln 2)``, about 6.76.
-
-    The block fills on the calling thread, piece by piece in row-major
-    order, so it draws the bits of one call over ``out`` and leaves ``gen``
-    where ``random_raw(out.size)`` would, its spare 32-bit half-word
-    untouched.
+    (see :func:`_box_muller`).  The block fills on the calling thread, piece
+    by piece in row-major order, so it draws the bits of one call over
+    ``out`` and leaves ``gen`` where ``random_raw(out.size)`` would, its
+    spare 32-bit half-word untouched.
     """
-    turn = out.dtype.type(2.0 * math.pi * 2.0 ** -32)
     for piece in _row_pieces(out):
-        r = gen.bit_generator.random_raw(piece.shape)
-        radius = (r >> 32).astype(np.float64)
-        radius += 0.5
-        radius *= 2.0 ** -32
-        np.log(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        r &= 0xFFFF_FFFF
-        angle = r.astype(out.dtype)
-        angle *= turn
-        np.cos(angle, out=angle)
-        np.multiply(radius, angle, out=piece)
+        ndtri(gen.bit_generator.random_raw(piece.shape), piece)
     return out
 
 

@@ -431,6 +431,22 @@ class TestBoxMullerMultipliers:
         assert gen.random(3, dtype=np.float32).tobytes() == ref_gen.random(
             3, dtype=np.float32).tobytes()
 
+    def test_every_piece_is_transformed_through_the_module_global(self, monkeypatch):
+        # a wrapper on ``bootstrap.ndtri``, as a tracer installs, sees each
+        # row piece once and leaves the block's bits as they were
+        out = np.empty((3, 40_000), np.float32)
+        expected = bootstrap._normal_weights(SeededStream(5).generator(), out.copy())
+        seen = []
+
+        def counted(r, piece):
+            seen.append(piece.shape)
+            return bootstrap._box_muller(r, piece)
+
+        monkeypatch.setattr(bootstrap, "ndtri", counted)
+        bootstrap._normal_weights(SeededStream(5).generator(), out)
+        assert seen == [piece.shape for piece in gaussian._row_pieces(out)]
+        assert out.tobytes() == expected.tobytes()
+
 
 def on_fresh_thread(fn, *args):
     """``fn(*args)`` on a new thread, whose empty workspace makes its first pass build."""

@@ -235,9 +235,17 @@ def namers(name):
 
 
 def test_ndtri_inverts_only_the_sample_uniforms_and_the_sn_tail():
-    # the bootstrap multipliers are Box-Muller cosines, not inverted uniforms
+    # the bootstrap multipliers are Box-Muller cosines, not inverted uniforms;
+    # bootstrap's ``ndtri`` only names its Box-Muller transform for the tracer
+    from scipy.special import ndtri
+
+    from momentineq import bootstrap
+
     assert namers("ndtri") == {("simulate", "<module>"), ("simulate", "_innovations"),
-                               ("sn", "<module>"), ("sn", "_sn_from_tail")}
+                               ("sn", "<module>"), ("sn", "_sn_from_tail"),
+                               ("bootstrap", "<module>"), ("bootstrap", "_normal_weights")}
+    assert bootstrap.ndtri is bootstrap._box_muller
+    assert bootstrap.ndtri is not ndtri
 
 
 def test_raw_outputs_are_read_only_by_the_uniforms_the_placing_and_the_multipliers():
